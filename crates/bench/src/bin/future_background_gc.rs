@@ -52,7 +52,8 @@ fn main() {
         precondition(&mut ftl, FILL_FRACTION);
         let r = run_trace_qd(&mut ftl, &trace, 8);
         assert_eq!(r.stats.read_faults, 0);
-        let pct = |q: f64| esp_sim::SimDuration::from_nanos(r.latency.percentile(q)).to_string();
+        let all = r.latency_all();
+        let pct = |q: f64| esp_sim::SimDuration::from_nanos(all.percentile(q)).to_string();
         t.row([
             label.to_string(),
             format!("{:.0}", r.iops),

@@ -53,7 +53,7 @@ fn main() {
         t.row([
             label.to_string(),
             format!("{:.0}", r.iops),
-            format!("{:.1}", r.latency.mean() / 1_000.0),
+            format!("{:.1}", r.latency_all().mean() / 1_000.0),
             r.latency_p99().to_string(),
         ]);
     }

@@ -16,16 +16,17 @@
 //! # Queue-depth scheduling
 //!
 //! [`run_trace_qd`] models an NCQ-style host: up to `queue_depth`
-//! requests are in flight at once, tracked as a min-heap of in-flight
-//! completion times. A request is admitted when the earliest in-flight
-//! request completes (out-of-order completion falls out naturally — each
-//! request's completion is independent), and its issue time is the
-//! latest of
+//! requests are in flight at once, tracked as an event calendar (a
+//! calendar queue) of in-flight completion times. A request is admitted
+//! when the earliest in-flight request completes (out-of-order completion
+//! falls out naturally — each request's completion is independent), and
+//! its issue time is the latest of
 //!
-//! 1. its **arrival** (the open arrival model: timestamps come from the
-//!    trace — fixed-spaced, bursty, Poisson via
-//!    `Trace::with_poisson_arrivals`, or trace-file supplied),
-//! 2. the **slot grant** (the heap's popped minimum — queue-depth
+//! 1. its **gate** — for a plain trace its **arrival** (the open arrival
+//!    model: timestamps come from the trace — fixed-spaced, bursty,
+//!    Poisson via `Trace::with_poisson_arrivals`, or trace-file
+//!    supplied); the tenant dispatcher also waits for a token,
+//! 2. the **slot grant** (the calendar's popped minimum — queue-depth
 //!    back-pressure), and
 //! 3. its **data dependencies**: a read waits for the last overlapping
 //!    write to complete (read-after-write), and a write waits for the
@@ -34,10 +35,20 @@
 //!
 //! Independent requests therefore pipeline across channels and chips
 //! while same-LSN and RMW request chains still serialize correctly. At
-//! `queue_depth = 1` the heap degenerates to the classic closed loop:
+//! `queue_depth = 1` the calendar degenerates to the classic closed loop:
 //! dependencies can never exceed the single slot's completion time, so
 //! QD=1 replays are bit-for-bit identical to a strictly serial host (the
 //! `qd1_matches_serial_reference` test locks this).
+//!
+//! # One engine, two dispatchers
+//!
+//! A single replay loop owns the slot calendar, the hazard tables, the
+//! idle/maintain calls, the latency histograms and the [`RunReport`]. What
+//! varies is only *which* request takes a freed slot, behind the
+//! [`Dispatch`] trait: a FIFO over one trace ([`run_trace_qd`]) or the
+//! token-bucket + deficit-round-robin tenant dispatcher
+//! ([`run_tenants_qd`](crate::run_tenants_qd)). The engine is generic over
+//! the dispatcher, so each caller gets its own monomorphized loop.
 //!
 //! # What the latency histograms measure
 //!
@@ -59,9 +70,9 @@
 
 use std::collections::HashMap;
 
-use esp_sim::{CalendarQueue, SimDuration, SimTime};
+use esp_sim::{CalendarQueue, HdrHistogram, SimDuration, SimTime};
 use esp_ssd::Ssd;
-use esp_workload::{IoOp, Trace};
+use esp_workload::{IoOp, IoRequest, Trace};
 
 use crate::stats::{FtlStats, RunReport};
 
@@ -76,7 +87,7 @@ const FLAT_HAZARD_LIMIT: u64 = 1 << 23;
 /// memory instead of retaining every sector ever touched.
 const SPARSE_PRUNE_TRIGGER: usize = 8192;
 
-/// How [`run_trace_qd`] tracks per-sector hazard completion times.
+/// How the replay engine tracks per-sector hazard completion times.
 /// Production callers always use `Auto`; tests pin the representation to
 /// prove the three are bit-identical.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -400,85 +411,7 @@ impl FtlStats {
     /// instead of a u64 underflow panic/wraparound.
     #[must_use]
     pub fn minus(&self, earlier: &FtlStats) -> FtlStats {
-        FtlStats {
-            host_write_requests: self
-                .host_write_requests
-                .saturating_sub(earlier.host_write_requests),
-            host_write_sectors: self
-                .host_write_sectors
-                .saturating_sub(earlier.host_write_sectors),
-            host_read_requests: self
-                .host_read_requests
-                .saturating_sub(earlier.host_read_requests),
-            host_read_sectors: self
-                .host_read_sectors
-                .saturating_sub(earlier.host_read_sectors),
-            small_write_requests: self
-                .small_write_requests
-                .saturating_sub(earlier.small_write_requests),
-            flash_sectors_consumed: self
-                .flash_sectors_consumed
-                .saturating_sub(earlier.flash_sectors_consumed),
-            gc_flash_sectors: self
-                .gc_flash_sectors
-                .saturating_sub(earlier.gc_flash_sectors),
-            gc_invocations: self.gc_invocations.saturating_sub(earlier.gc_invocations),
-            gc_subpage_region: self
-                .gc_subpage_region
-                .saturating_sub(earlier.gc_subpage_region),
-            gc_copied_sectors: self
-                .gc_copied_sectors
-                .saturating_sub(earlier.gc_copied_sectors),
-            rmw_operations: self.rmw_operations.saturating_sub(earlier.rmw_operations),
-            lap_migrations: self.lap_migrations.saturating_sub(earlier.lap_migrations),
-            cold_evictions: self.cold_evictions.saturating_sub(earlier.cold_evictions),
-            retention_evictions: self
-                .retention_evictions
-                .saturating_sub(earlier.retention_evictions),
-            wear_swaps: self.wear_swaps.saturating_sub(earlier.wear_swaps),
-            wear_level_migrations: self
-                .wear_level_migrations
-                .saturating_sub(earlier.wear_level_migrations),
-            op_shrinks: self.op_shrinks.saturating_sub(earlier.op_shrinks),
-            end_of_life_trips: self
-                .end_of_life_trips
-                .saturating_sub(earlier.end_of_life_trips),
-            writes_dropped_end_of_life: self
-                .writes_dropped_end_of_life
-                .saturating_sub(earlier.writes_dropped_end_of_life),
-            read_faults: self.read_faults.saturating_sub(earlier.read_faults),
-            read_faults_destroyed: self
-                .read_faults_destroyed
-                .saturating_sub(earlier.read_faults_destroyed),
-            read_faults_retention: self
-                .read_faults_retention
-                .saturating_sub(earlier.read_faults_retention),
-            read_faults_torn: self
-                .read_faults_torn
-                .saturating_sub(earlier.read_faults_torn),
-            read_faults_injected: self
-                .read_faults_injected
-                .saturating_sub(earlier.read_faults_injected),
-            read_reclaims: self.read_reclaims.saturating_sub(earlier.read_reclaims),
-            disturb_scrubs: self.disturb_scrubs.saturating_sub(earlier.disturb_scrubs),
-            read_only_trips: self.read_only_trips.saturating_sub(earlier.read_only_trips),
-            writes_dropped_read_only: self
-                .writes_dropped_read_only
-                .saturating_sub(earlier.writes_dropped_read_only),
-            program_failures: self
-                .program_failures
-                .saturating_sub(earlier.program_failures),
-            erase_failures: self.erase_failures.saturating_sub(earlier.erase_failures),
-            blocks_retired: self.blocks_retired.saturating_sub(earlier.blocks_retired),
-            write_retries: self.write_retries.saturating_sub(earlier.write_retries),
-            torn_pages_quarantined: self
-                .torn_pages_quarantined
-                .saturating_sub(earlier.torn_pages_quarantined),
-            small_waf_flash_sectors: self.small_waf_flash_sectors - earlier.small_waf_flash_sectors,
-            small_waf_host_sectors: self
-                .small_waf_host_sectors
-                .saturating_sub(earlier.small_waf_host_sectors),
-        }
+        ftl_stats_fieldwise!(self, earlier, u64::saturating_sub, |x: f64, y: f64| x - y)
     }
 }
 
@@ -500,8 +433,8 @@ pub fn run_trace<F: Ftl + ?Sized>(ftl: &mut F, trace: &Trace) -> RunReport {
 /// threads overlap in flight and the device becomes throughput-bound
 /// rather than latency-bound).
 ///
-/// In-flight requests are a min-heap of completion times; a request is
-/// admitted when a queue slot frees and issues at
+/// In-flight requests are an event calendar of completion times; a
+/// request is admitted when a queue slot frees and issues at
 /// `max(arrival, slot grant, data dependencies)` — see the module docs
 /// for the dependency rules. Completion is out of order: a request that
 /// lands on an idle chip finishes ahead of an earlier one stuck behind
@@ -522,6 +455,20 @@ pub fn run_trace<F: Ftl + ?Sized>(ftl: &mut F, trace: &Trace) -> RunReport {
 /// Panics if `queue_depth` is zero.
 pub fn run_trace_qd<F: Ftl + ?Sized>(ftl: &mut F, trace: &Trace, queue_depth: usize) -> RunReport {
     run_trace_qd_mode(ftl, trace, queue_depth, HazardMode::Auto)
+}
+
+pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
+    ftl: &mut F,
+    trace: &Trace,
+    queue_depth: usize,
+    mode: HazardMode,
+) -> RunReport {
+    let mut fifo = Fifo {
+        trace,
+        requests: trace.iter(),
+        base: ftl.ssd().makespan(),
+    };
+    replay(ftl, &mut fifo, queue_depth, mode)
 }
 
 /// Snapshots the device's per-block wear distribution (effective P/E over
@@ -554,9 +501,78 @@ pub fn device_wear_summary(ssd: &Ssd, shallow_erases: u64) -> crate::stats::Wear
     }
 }
 
-pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
+/// A request a [`Dispatch`] hands to the engine for one queue slot.
+pub(crate) struct Admit {
+    /// The request, its LSN already on the device's logical space.
+    pub(crate) req: IoRequest,
+    /// Arrival on the device clock.
+    pub(crate) arrival: SimTime,
+    /// When the request became eligible to issue (its arrival, or later
+    /// under admission control). A gate past every in-flight completion
+    /// opens an idle window.
+    pub(crate) gate: SimTime,
+    /// Dispatcher-defined source index (the tenant), for
+    /// [`Dispatch::served`].
+    pub(crate) source: usize,
+}
+
+/// Chooses which request takes each freed queue slot of the replay
+/// engine. Arrival and gate stamps are on the device clock, so a
+/// dispatcher is built against the FTL's makespan at the start of the
+/// run.
+pub(crate) trait Dispatch {
+    /// Logical sectors the requests span (sizes the hazard tables).
+    fn footprint_sectors(&self) -> u64;
+
+    /// True when any request carries a nonzero arrival stamp.
+    fn open_arrival(&self) -> bool;
+
+    /// The request granted the slot freed at `slot_free`, or `None` once
+    /// every request has been handed out.
+    fn next(&mut self, slot_free: SimTime) -> Option<Admit>;
+
+    /// Accounting hook once `admit` completes: `response` is its
+    /// arrival → done time for reads and synchronous writes, `None` for
+    /// asynchronous writes.
+    fn served(&mut self, _admit: &Admit, _response: Option<SimDuration>) {}
+}
+
+/// The plain-trace dispatcher: requests issue in trace order, each gated
+/// by its arrival.
+struct Fifo<'a> {
+    trace: &'a Trace,
+    requests: std::slice::Iter<'a, IoRequest>,
+    base: SimTime,
+}
+
+impl Dispatch for Fifo<'_> {
+    fn footprint_sectors(&self) -> u64 {
+        self.trace.footprint_sectors
+    }
+
+    fn open_arrival(&self) -> bool {
+        self.trace.iter().any(|r| r.arrival > SimTime::ZERO)
+    }
+
+    fn next(&mut self, _slot_free: SimTime) -> Option<Admit> {
+        let req = *self.requests.next()?;
+        let arrival = self.base + SimDuration::from_nanos(req.arrival.as_nanos());
+        Some(Admit {
+            req,
+            arrival,
+            gate: arrival,
+            source: 0,
+        })
+    }
+}
+
+/// The replay engine: serves every request of `dispatch` through `ftl`
+/// at `queue_depth` and reports per-run metrics (deltas against the FTL's
+/// state at entry, so preconditioning runs do not pollute measurement
+/// runs).
+pub(crate) fn replay<F: Ftl + ?Sized, D: Dispatch>(
     ftl: &mut F,
-    trace: &Trace,
+    dispatch: &mut D,
     queue_depth: usize,
     mode: HazardMode,
 ) -> RunReport {
@@ -577,61 +593,61 @@ pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
         slots.push(base, ());
     }
     let mut clock = base;
-    let mut hazards = Hazards::new(mode, trace.footprint_sectors);
-    let mut latency = esp_sim::Log2Histogram::new();
-    let mut read_latency = esp_sim::HdrHistogram::new();
-    let mut write_latency = esp_sim::HdrHistogram::new();
-    let mut response_latency = esp_sim::HdrHistogram::new();
+    let mut hazards = Hazards::new(mode, dispatch.footprint_sectors());
+    let mut read_latency = HdrHistogram::new();
+    let mut write_latency = HdrHistogram::new();
+    let mut response_latency = HdrHistogram::new();
     // Arrival→done response times are only meaningful when the trace
     // carries real arrival stamps (open arrivals); closed-loop traces
     // stamp every arrival at zero, where "response time" would just
     // accumulate the makespan.
-    let open_arrival = trace.into_iter().any(|r| r.arrival > SimTime::ZERO);
-    for r in trace {
-        let arrival = base + SimDuration::from_nanos(r.arrival.as_nanos());
+    let open_arrival = dispatch.open_arrival();
+    let mut requests = 0u64;
+    loop {
         // Admit on the earliest in-flight completion.
         let (slot_free, ()) = slots.pop().expect("at least one slot");
+        let Some(admit) = dispatch.next(slot_free) else {
+            break;
+        };
+        requests += 1;
+        let r = admit.req;
         // Hazards against earlier overlapping requests. At QD=1 every
         // recorded completion is <= the popped slot time, so this never
         // changes serial behaviour.
         let is_write = r.op == IoOp::Write;
         let dep = hazards.dep(r.lsn, r.sectors, is_write);
-        let issue = slot_free.max(arrival).max(dep);
-        if arrival > clock {
-            // Every in-flight request completed before `arrival` (clock is
-            // the max over all slots): a background window.
-            ftl.idle(clock, arrival);
+        let issue = slot_free.max(admit.gate).max(dep);
+        if admit.gate > clock {
+            // Every in-flight request completed before the request became
+            // eligible (clock is the max over all slots): a background
+            // window.
+            ftl.idle(clock, admit.gate);
         }
         ftl.maintain(issue);
         // Service histograms record issue → done: device service time.
         // Under open arrivals the response histogram additionally records
         // arrival → done (host queueing included) for the same samples.
-        let done = match r.op {
+        let (done, measured) = match r.op {
             IoOp::Write => {
                 let done = ftl.write(r.lsn, r.sectors, r.sync, issue);
                 if r.sync {
-                    let ns = done.saturating_since(issue).as_nanos();
-                    latency.record(ns);
-                    write_latency.record(ns);
-                    if open_arrival {
-                        response_latency.record(done.saturating_since(arrival).as_nanos());
-                    }
-                    done
+                    write_latency.record(done.saturating_since(issue).as_nanos());
+                    (done, true)
                 } else {
-                    issue
+                    (issue, false)
                 }
             }
             IoOp::Read => {
                 let done = ftl.read(r.lsn, r.sectors, issue);
-                let ns = done.saturating_since(issue).as_nanos();
-                latency.record(ns);
-                read_latency.record(ns);
-                if open_arrival {
-                    response_latency.record(done.saturating_since(arrival).as_nanos());
-                }
-                done
+                read_latency.record(done.saturating_since(issue).as_nanos());
+                (done, true)
             }
         };
+        let response = measured.then(|| done.saturating_since(admit.arrival));
+        if let Some(resp) = response.filter(|_| open_arrival) {
+            response_latency.record(resp.as_nanos());
+        }
+        dispatch.served(&admit, response);
         // An async write publishes its host-visible completion (the
         // buffered copy is readable immediately); sync writes publish
         // durability.
@@ -646,7 +662,6 @@ pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
     let makespan_ns = end.saturating_since(base);
     let makespan = SimTime::ZERO + makespan_ns;
     let secs = makespan_ns.as_secs_f64();
-    let requests = trace.len() as u64;
     let iops = if secs > 0.0 {
         requests as f64 / secs
     } else {
@@ -667,7 +682,6 @@ pub(crate) fn run_trace_qd_mode<F: Ftl + ?Sized>(
         recovered_reads: dev.recovered_reads.saturating_sub(dev0.recovered_reads),
         retry_steps: dev.retry_steps.saturating_sub(dev0.retry_steps),
         soft_decodes: dev.soft_decodes.saturating_sub(dev0.soft_decodes),
-        latency,
         read_latency,
         write_latency,
         response_latency,
@@ -718,7 +732,7 @@ mod tests {
         t.push(IoRequest::read(SimTime::ZERO, 0, 1));
         let r = run_trace(&mut ftl, &t);
         // 1 sync write + 1 read recorded; the async write is not.
-        assert_eq!(r.latency.count(), 2);
+        assert_eq!(r.latency_all().count(), 2);
         assert!(r.latency_p50() > SimDuration::ZERO);
     }
 
@@ -805,7 +819,7 @@ mod tests {
         assert_eq!(r.requests, 0);
         assert_eq!(r.iops, 0.0);
         assert_eq!(r.makespan, SimTime::ZERO);
-        assert_eq!(r.latency.count(), 0);
+        assert_eq!(r.latency_all().count(), 0);
         assert_eq!(r.erases, 0);
         // An empty run after real work must also report zero deltas.
         let mut t = Trace::new(64);
@@ -927,7 +941,6 @@ mod tests {
         let dev0 = *ftl.ssd().device().stats();
         let mut threads = vec![base; queue_depth];
         let mut clock = base;
-        let mut latency = esp_sim::Log2Histogram::new();
         let mut read_latency = esp_sim::HdrHistogram::new();
         let mut write_latency = esp_sim::HdrHistogram::new();
         // Response recording mirrors `run_trace_qd` (it post-dates the
@@ -955,7 +968,6 @@ mod tests {
                     let done = ftl.write(r.lsn, r.sectors, r.sync, issue);
                     if r.sync {
                         let ns = done.saturating_since(issue).as_nanos();
-                        latency.record(ns);
                         write_latency.record(ns);
                         if open_arrival {
                             response_latency.record(done.saturating_since(arrival).as_nanos());
@@ -968,7 +980,6 @@ mod tests {
                 IoOp::Read => {
                     let done = ftl.read(r.lsn, r.sectors, issue);
                     let ns = done.saturating_since(issue).as_nanos();
-                    latency.record(ns);
                     read_latency.record(ns);
                     if open_arrival {
                         response_latency.record(done.saturating_since(arrival).as_nanos());
@@ -1005,7 +1016,6 @@ mod tests {
             recovered_reads: dev.recovered_reads.saturating_sub(dev0.recovered_reads),
             retry_steps: dev.retry_steps.saturating_sub(dev0.retry_steps),
             soft_decodes: dev.soft_decodes.saturating_sub(dev0.soft_decodes),
-            latency,
             read_latency,
             write_latency,
             response_latency,
@@ -1019,7 +1029,11 @@ mod tests {
     /// A mixed workload — sync and async writes, reads, rewrites of the
     /// same sectors, spaced and bursty arrivals — over a tiny subFTL.
     fn mixed_trace(footprint: u64) -> Trace {
-        esp_workload::generate(&esp_workload::SyntheticConfig {
+        esp_workload::generate(&mixed_config(footprint))
+    }
+
+    fn mixed_config(footprint: u64) -> esp_workload::SyntheticConfig {
+        esp_workload::SyntheticConfig {
             footprint_sectors: footprint,
             requests: 600,
             r_small: 0.8,
@@ -1029,7 +1043,7 @@ mod tests {
             burst_period: 97,
             burst_idle: SimDuration::from_millis(40),
             ..esp_workload::SyntheticConfig::default()
-        })
+        }
     }
 
     /// Factories for all four FTLs, for cross-implementation tests.
@@ -1089,6 +1103,38 @@ mod tests {
                     crate::report::run_json("qd8", &flat).to_pretty(),
                     crate::report::run_json("qd8", &other).to_pretty(),
                     "{name}: hazard representations must be bit-identical"
+                );
+                assert_eq!(a.ssd().makespan(), b.ssd().makespan(), "{name}");
+            }
+        }
+        // The tenant dispatcher drives the same engine: two tenants with
+        // unequal weights, one throttled, must replay byte-identically
+        // under every hazard representation too.
+        let tenants = |ftl: &mut dyn Ftl, mode: HazardMode| {
+            // Two page-aligned halves of the logical space.
+            let slice = ftl.logical_sectors() / 8 * 4;
+            let trace = |seed| {
+                esp_workload::generate(&esp_workload::SyntheticConfig {
+                    seed,
+                    ..mixed_config(slice)
+                })
+            };
+            let mut set = crate::TenantSet::new();
+            set.add(crate::TenantConfig::new("a").weight(3), trace(1));
+            set.add(crate::TenantConfig::new("b").limit(1_000.0, 4), trace(2));
+            let r = crate::tenant::run_tenants_qd_mode(ftl, &set, 8, mode);
+            format!(
+                "{}{}",
+                crate::report::run_json("tenants", &r.run).to_pretty(),
+                crate::report::tenants_json(&r.tenants).to_pretty()
+            )
+        };
+        for mode in [HazardMode::Sparse, HazardMode::SparseUnpruned] {
+            for ((name, mut a), (_, mut b)) in all_ftls(&cfg).into_iter().zip(all_ftls(&cfg)) {
+                assert_eq!(
+                    tenants(a.as_mut(), HazardMode::Flat),
+                    tenants(b.as_mut(), mode),
+                    "{name}: tenant replay must be bit-identical across hazard representations"
                 );
                 assert_eq!(a.ssd().makespan(), b.ssd().makespan(), "{name}");
             }

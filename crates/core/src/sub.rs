@@ -2327,7 +2327,7 @@ mod tests {
             let r = run_trace(&mut ftl, &trace);
             assert_eq!(r.stats.read_faults, 0);
             ftl.check_invariants();
-            r.latency.percentile(1.0)
+            r.latency_all().max()
         };
         let fg_worst = run(false);
         let bg_worst = run(true);

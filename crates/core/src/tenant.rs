@@ -9,9 +9,11 @@
 //! buffer, GC, the read-path countermeasures, and raw channel/chip
 //! bandwidth.
 //!
-//! [`run_tenants_qd`] replays the set through the same NCQ-style engine
-//! as [`run_trace_qd`](crate::run_trace_qd), with two stages bolted in
-//! front of the host queue:
+//! [`run_tenants_qd`] replays the set through the replay engine of
+//! [`run_trace_qd`](crate::run_trace_qd) — the same slot calendar,
+//! hazards, histograms and report. This module supplies only the engine's
+//! tenant dispatcher, which puts two stages in front of the host queue,
+//! plus the per-tenant accounting:
 //!
 //! 1. **Token-bucket admission** (`rate` + `burst` per tenant). A
 //!    request becomes *eligible* at `max(arrival, token_ready)`; tokens
@@ -46,10 +48,10 @@
 //! imposed by the token bucket is part of response time by design —
 //! throttling trades a tenant's own queueing for its neighbors' tails.
 
-use esp_sim::{CalendarQueue, HdrHistogram, SimDuration, SimTime};
-use esp_workload::{IoOp, Trace, SECTORS_PER_PAGE};
+use esp_sim::{HdrHistogram, SimDuration, SimTime};
+use esp_workload::{IoRequest, Trace, SECTORS_PER_PAGE};
 
-use crate::runner::{device_wear_summary, Ftl, HazardMode, Hazards};
+use crate::runner::{replay, Admit, Dispatch, Ftl, HazardMode};
 use crate::stats::RunReport;
 
 /// Sectors of deficit one weight unit banks per DRR turn. Small enough
@@ -384,7 +386,15 @@ pub fn run_tenants_qd<F: Ftl + ?Sized>(
     set: &TenantSet,
     queue_depth: usize,
 ) -> TenantRunReport {
-    assert!(queue_depth > 0, "queue_depth must be at least 1");
+    run_tenants_qd_mode(ftl, set, queue_depth, HazardMode::Auto)
+}
+
+pub(crate) fn run_tenants_qd_mode<F: Ftl + ?Sized>(
+    ftl: &mut F,
+    set: &TenantSet,
+    queue_depth: usize,
+    mode: HazardMode,
+) -> TenantRunReport {
     assert!(!set.is_empty(), "tenant set must not be empty");
     assert!(
         set.footprint_sectors() <= ftl.logical_sectors(),
@@ -392,226 +402,125 @@ pub fn run_tenants_qd<F: Ftl + ?Sized>(
         set.footprint_sectors(),
         ftl.logical_sectors()
     );
-    let n = set.entries.len();
-    let base = ftl.ssd().makespan();
-    let stats0 = ftl.stats().clone();
-    let dev0 = *ftl.ssd().device().stats();
-
-    let mut slots: CalendarQueue<()> = CalendarQueue::new();
-    for _ in 0..queue_depth {
-        slots.push(base, ());
-    }
-    let mut clock = base;
-    let mut hazards = Hazards::new(HazardMode::Auto, set.footprint_sectors());
-    let mut latency = esp_sim::Log2Histogram::new();
-    let mut read_latency = HdrHistogram::new();
-    let mut write_latency = HdrHistogram::new();
-    let mut response_latency = HdrHistogram::new();
-    let open_arrival = set
-        .entries
-        .iter()
-        .any(|e| e.trace.iter().any(|r| r.arrival > SimTime::ZERO));
-
-    // Per-tenant scheduler state, indexed like `set.entries`.
-    let mut next_idx = vec![0usize; n];
-    let mut buckets: Vec<TokenBucket> = set
-        .entries
-        .iter()
-        .map(|e| TokenBucket::new(e.config.rate, e.config.burst, base))
-        .collect();
-    let mut drr = Drr::new(
-        set.entries
-            .iter()
-            .map(|e| u64::from(e.config.weight))
-            .collect(),
-    );
-    let tenant_open: Vec<bool> = set
-        .entries
-        .iter()
-        .map(|e| e.trace.iter().any(|r| r.arrival > SimTime::ZERO))
-        .collect();
-    let mut response: Vec<HdrHistogram> = (0..n).map(|_| HdrHistogram::new()).collect();
-    let mut sectors_moved = vec![0u64; n];
-    let mut slo_samples = vec![0u64; n];
-    let mut slo_good = vec![0u64; n];
-
-    // Arrival stamp of tenant `t`'s head request, on the global clock.
-    let head_arrival = |next_idx: &[usize], t: usize| {
-        base + SimDuration::from_nanos(
-            set.entries[t].trace.requests[next_idx[t]]
-                .arrival
-                .as_nanos(),
-        )
-    };
-
-    let total = set.total_requests();
-    for _ in 0..total {
-        let (slot_free, ()) = slots.pop().expect("at least one slot");
-        // Eligibility horizon: a pending head request is eligible at
-        // max(arrival, token ready). If nothing is eligible when the
-        // slot frees, the grant waits for the earliest gate.
-        let mut now = slot_free;
-        let mut min_gate: Option<SimTime> = None;
-        for t in 0..n {
-            if next_idx[t] < set.entries[t].trace.len() {
-                let gate = head_arrival(&next_idx, t).max(buckets[t].ready_at());
-                min_gate = Some(min_gate.map_or(gate, |m: SimTime| m.min(gate)));
-            }
-        }
-        let min_gate = min_gate.expect("at least one pending request");
-        now = now.max(min_gate);
-
-        let t = drr.pick(
-            |t| {
-                next_idx[t] < set.entries[t].trace.len()
-                    && head_arrival(&next_idx, t).max(buckets[t].ready_at()) <= now
-            },
-            |t| u64::from(set.entries[t].trace.requests[next_idx[t]].sectors),
-            |t| next_idx[t] < set.entries[t].trace.len(),
-        );
-        let entry = &set.entries[t];
-        let r = entry.trace.requests[next_idx[t]];
-        next_idx[t] += 1;
-
-        let arrival = base + SimDuration::from_nanos(r.arrival.as_nanos());
-        let gate = arrival.max(buckets[t].ready_at());
-        buckets[t].consume(now);
-        let lsn = entry.base_lsn + r.lsn;
-        let is_write = r.op == IoOp::Write;
-        let dep = hazards.dep(lsn, r.sectors, is_write);
-        let issue = slot_free.max(gate).max(dep);
-        if gate > clock {
-            // Every in-flight request completed before the chosen
-            // request became eligible: a genuine idle window (for the
-            // single-tenant unlimited case, `gate == arrival`, matching
-            // `run_trace_qd` exactly).
-            ftl.idle(clock, gate);
-        }
-        ftl.maintain(issue);
-        let done = match r.op {
-            IoOp::Write => {
-                let done = ftl.write(lsn, r.sectors, r.sync, issue);
-                if r.sync {
-                    let ns = done.saturating_since(issue).as_nanos();
-                    latency.record(ns);
-                    write_latency.record(ns);
-                    if open_arrival {
-                        response_latency.record(done.saturating_since(arrival).as_nanos());
-                    }
-                    if tenant_open[t] {
-                        record_response(
-                            done.saturating_since(arrival),
-                            &mut response[t],
-                            entry.config.slo,
-                            &mut slo_samples[t],
-                            &mut slo_good[t],
-                        );
-                    }
-                    done
-                } else {
-                    issue
-                }
-            }
-            IoOp::Read => {
-                let done = ftl.read(lsn, r.sectors, issue);
-                let ns = done.saturating_since(issue).as_nanos();
-                latency.record(ns);
-                read_latency.record(ns);
-                if open_arrival {
-                    response_latency.record(done.saturating_since(arrival).as_nanos());
-                }
-                if tenant_open[t] {
-                    record_response(
-                        done.saturating_since(arrival),
-                        &mut response[t],
-                        entry.config.slo,
-                        &mut slo_samples[t],
-                        &mut slo_good[t],
-                    );
-                }
-                done
-            }
+    let mut dispatch = TenantDispatch::new(set, ftl.ssd().makespan());
+    let run = replay(ftl, &mut dispatch, queue_depth, mode);
+    let secs = run.makespan.as_secs_f64();
+    let mut tenants = dispatch.rows;
+    for t in &mut tenants {
+        t.iops = if secs > 0.0 {
+            t.requests as f64 / secs
+        } else {
+            0.0
         };
-        sectors_moved[t] += u64::from(r.sectors);
-        hazards.publish(lsn, r.sectors, is_write, done);
-        hazards.maybe_prune(slot_free);
-        slots.push(done, ());
-        clock = clock.max(done);
     }
-    let flushed = ftl.flush(clock);
-
-    let end = ftl.ssd().makespan().max(flushed).max(clock);
-    let makespan_ns = end.saturating_since(base);
-    let makespan = SimTime::ZERO + makespan_ns;
-    let secs = makespan_ns.as_secs_f64();
-    let requests = total;
-    let iops = if secs > 0.0 {
-        requests as f64 / secs
-    } else {
-        0.0
-    };
-    let dev = ftl.ssd().device().stats();
-    let run = RunReport {
-        ftl: ftl.name(),
-        requests,
-        makespan,
-        iops,
-        stats: ftl.stats().minus(&stats0),
-        erases: dev.erases.saturating_sub(dev0.erases),
-        programs: (
-            dev.full_programs.saturating_sub(dev0.full_programs),
-            dev.subpage_programs.saturating_sub(dev0.subpage_programs),
-        ),
-        recovered_reads: dev.recovered_reads.saturating_sub(dev0.recovered_reads),
-        retry_steps: dev.retry_steps.saturating_sub(dev0.retry_steps),
-        soft_decodes: dev.soft_decodes.saturating_sub(dev0.soft_decodes),
-        latency,
-        read_latency,
-        write_latency,
-        response_latency,
-        wear: device_wear_summary(
-            ftl.ssd(),
-            dev.shallow_erases.saturating_sub(dev0.shallow_erases),
-        ),
-    };
-
-    let tenants = set
-        .entries
-        .iter()
-        .enumerate()
-        .map(|(t, e)| TenantReport {
-            name: e.config.name.clone(),
-            weight: e.config.weight,
-            rate: e.config.rate,
-            burst: e.config.burst,
-            requests: e.trace.len() as u64,
-            sectors: sectors_moved[t],
-            iops: if secs > 0.0 {
-                e.trace.len() as f64 / secs
-            } else {
-                0.0
-            },
-            response: response[t].clone(),
-            slo: e.config.slo,
-            slo_samples: slo_samples[t],
-            slo_good: slo_good[t],
-        })
-        .collect();
     TenantRunReport { run, tenants }
 }
 
-fn record_response(
-    resp: SimDuration,
-    hist: &mut HdrHistogram,
-    slo: Option<SimDuration>,
-    samples: &mut u64,
-    good: &mut u64,
-) {
-    hist.record(resp.as_nanos());
-    if let Some(target) = slo {
-        *samples += 1;
-        if resp <= target {
-            *good += 1;
+/// The engine's tenant dispatcher: per-tenant FIFOs behind token-bucket
+/// admission, chosen among by DRR, with per-tenant accounting.
+struct TenantDispatch<'a> {
+    set: &'a TenantSet,
+    base: SimTime,
+    /// Index of each tenant's head request.
+    next_idx: Vec<usize>,
+    buckets: Vec<TokenBucket>,
+    drr: Drr,
+    /// Tenants with open arrivals (the only ones recording responses).
+    open: Vec<bool>,
+    /// Report rows, filled in as requests complete.
+    rows: Vec<TenantReport>,
+}
+
+impl<'a> TenantDispatch<'a> {
+    fn new(set: &'a TenantSet, base: SimTime) -> Self {
+        let entries = &set.entries;
+        TenantDispatch {
+            set,
+            base,
+            next_idx: vec![0; entries.len()],
+            buckets: entries
+                .iter()
+                .map(|e| TokenBucket::new(e.config.rate, e.config.burst, base))
+                .collect(),
+            drr: Drr::new(entries.iter().map(|e| u64::from(e.config.weight)).collect()),
+            open: entries
+                .iter()
+                .map(|e| e.trace.iter().any(|r| r.arrival > SimTime::ZERO))
+                .collect(),
+            rows: entries
+                .iter()
+                .map(|e| TenantReport {
+                    name: e.config.name.clone(),
+                    weight: e.config.weight,
+                    rate: e.config.rate,
+                    burst: e.config.burst,
+                    requests: e.trace.len() as u64,
+                    sectors: 0,
+                    iops: 0.0,
+                    response: HdrHistogram::new(),
+                    slo: e.config.slo,
+                    slo_samples: 0,
+                    slo_good: 0,
+                })
+                .collect(),
+        }
+    }
+}
+
+impl Dispatch for TenantDispatch<'_> {
+    fn footprint_sectors(&self) -> u64 {
+        self.set.footprint_sectors()
+    }
+
+    fn open_arrival(&self) -> bool {
+        self.open.iter().any(|&o| o)
+    }
+
+    fn next(&mut self, slot_free: SimTime) -> Option<Admit> {
+        let (entries, base) = (&self.set.entries, self.base);
+        let (next_idx, buckets) = (&self.next_idx, &self.buckets);
+        let head = |t: usize| entries[t].trace.requests[next_idx[t]];
+        let pending = |t: usize| next_idx[t] < entries[t].trace.len();
+        // A pending head request is eligible at max(arrival, token
+        // ready). If nothing is eligible when the slot frees, the grant
+        // waits for the earliest gate; with nothing pending the run is
+        // over.
+        let gate = |t: usize| {
+            (base + SimDuration::from_nanos(head(t).arrival.as_nanos())).max(buckets[t].ready_at())
+        };
+        let now = (0..entries.len())
+            .filter(|&t| pending(t))
+            .map(gate)
+            .min()?
+            .max(slot_free);
+        let t = self.drr.pick(
+            |t| pending(t) && gate(t) <= now,
+            |t| u64::from(head(t).sectors),
+            pending,
+        );
+        let (r, gate) = (head(t), gate(t));
+        self.next_idx[t] += 1;
+        self.buckets[t].consume(now);
+        Some(Admit {
+            req: IoRequest {
+                lsn: entries[t].base_lsn + r.lsn,
+                ..r
+            },
+            arrival: base + SimDuration::from_nanos(r.arrival.as_nanos()),
+            gate,
+            source: t,
+        })
+    }
+
+    fn served(&mut self, admit: &Admit, response: Option<SimDuration>) {
+        let row = &mut self.rows[admit.source];
+        row.sectors += u64::from(admit.req.sectors);
+        if let Some(resp) = response.filter(|_| self.open[admit.source]) {
+            row.response.record(resp.as_nanos());
+            if let Some(target) = row.slo {
+                row.slo_samples += 1;
+                row.slo_good += u64::from(resp <= target);
+            }
         }
     }
 }

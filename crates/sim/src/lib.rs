@@ -11,10 +11,9 @@
 //!   calendar queue) driving the replay engine's completion scheduling.
 //! * [`Rng`] / [`Zipf`] — self-contained deterministic random number
 //!   generation and skewed (hot/cold) sampling for workload synthesis.
-//! * [`RunningStats`] / [`Log2Histogram`] — metric accumulators.
-//! * [`HdrHistogram`] / [`MetricsRegistry`] — HDR-style log-bucketed
-//!   latency percentiles (p50/p95/p99/p999) and a counter/gauge registry
-//!   for machine-readable reports.
+//! * [`RunningStats`] — running mean/variance/min/max accumulator.
+//! * [`HdrHistogram`] — HDR-style log-bucketed latency percentiles
+//!   (p50/p95/p99/p999), the one latency histogram of every report.
 //! * [`TraceEvent`] / [`EventSink`] / [`EventBuffer`] — zero-cost-when-
 //!   disabled per-operation structured event tracing.
 //! * [`Json`] — dependency-free JSON emit/parse for `BENCH_*.json`
@@ -58,10 +57,10 @@ mod trace;
 
 pub use event::CalendarQueue;
 pub use json::Json;
-pub use metrics::{HdrHistogram, LatencySummary, MetricsRegistry};
+pub use metrics::{HdrHistogram, LatencySummary};
 pub use parallel::{par_map, par_map_with_threads};
 pub use resource::Resource;
 pub use rng::{Rng, Zipf};
-pub use stats::{Log2Histogram, RunningStats};
+pub use stats::RunningStats;
 pub use time::{SimDuration, SimTime};
 pub use trace::{merge_events, EventBuffer, EventLog, EventSink, NullSink, TraceEvent};

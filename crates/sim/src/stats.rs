@@ -1,5 +1,4 @@
-//! Lightweight statistics: counters, running moments, and log-scale
-//! latency histograms.
+//! Lightweight statistics: running moments over `f64` samples.
 
 use std::fmt;
 
@@ -135,112 +134,6 @@ impl fmt::Display for RunningStats {
     }
 }
 
-/// A power-of-two bucketed histogram for latency-like values.
-///
-/// Bucket `i` covers `[2^i, 2^(i+1))`; values of 0 land in bucket 0. Gives
-/// percentile estimates with ≤ 2× relative error, which is plenty for
-/// simulator latency reporting.
-///
-/// # Examples
-///
-/// ```
-/// use esp_sim::Log2Histogram;
-///
-/// let mut h = Log2Histogram::new();
-/// for v in [100, 200, 400, 800] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.count(), 4);
-/// assert!(h.percentile(0.5) >= 128);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Log2Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u128,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Log2Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-impl Log2Histogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            (63 - v.leading_zeros()) as usize
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += u128::from(v);
-    }
-
-    /// Number of recorded values.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded values, or 0.0 if empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate `q`-quantile (`q` in `[0, 1]`): the lower bound of the
-    /// bucket containing the q-th value.
-    #[must_use]
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64 * q).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        1u64 << 63
-    }
-}
-
-impl fmt::Display for Log2Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.1} p50={} p99={}",
-            self.count,
-            self.mean(),
-            self.percentile(0.50),
-            self.percentile(0.99)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,36 +181,5 @@ mod tests {
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn histogram_counts_and_mean() {
-        let mut h = Log2Histogram::new();
-        for v in [1u64, 2, 3, 4] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert!((h.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_percentiles_bracket_data() {
-        let mut h = Log2Histogram::new();
-        for v in 1..=1024u64 {
-            h.record(v);
-        }
-        let p50 = h.percentile(0.5);
-        // Median of 1..=1024 is ~512; bucket lower bound is within 2x.
-        assert!((256..=512).contains(&p50), "p50 = {p50}");
-        assert!(h.percentile(1.0) >= 512);
-        assert_eq!(Log2Histogram::new().percentile(0.5), 0);
-    }
-
-    #[test]
-    fn histogram_zero_values() {
-        let mut h = Log2Histogram::new();
-        h.record(0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.percentile(0.5), 0);
     }
 }

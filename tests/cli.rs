@@ -355,6 +355,46 @@ fn run_json_emits_valid_bench_report_with_events() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The text latency line must print the same percentiles as the JSON
+/// `latency.all` block of the same run (both read one HDR histogram).
+#[test]
+fn text_latency_line_matches_json_latency_all() {
+    use esp_storage::sim::{Json, SimDuration};
+
+    let dir = std::env::temp_dir().join("espsim_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("latency_line.json");
+    let path_s = path.to_str().unwrap();
+    let (ok, stdout, stderr) = espsim(&[
+        "run",
+        "--ftl",
+        "sub",
+        "--rsmall",
+        "1.0",
+        "--requests",
+        "3000",
+        "--json",
+        path_s,
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid JSON");
+    std::fs::remove_file(&path).ok();
+    let Some(Json::Arr(runs)) = doc.get("runs") else {
+        panic!("runs must be an array");
+    };
+    let ns = |key: &str| {
+        let v = runs[0]
+            .path(&format!("latency.all.{key}"))
+            .and_then(Json::as_u64);
+        SimDuration::from_nanos(v.unwrap_or_else(|| panic!("missing latency.all.{key}")))
+    };
+    let expected = format!("latency p50/p99 {} / {}", ns("p50_ns"), ns("p99_ns"));
+    assert!(
+        stdout.lines().any(|l| l.trim() == expected),
+        "expected `{expected}` in:\n{stdout}"
+    );
+}
+
 #[test]
 fn compare_json_has_one_run_per_ftl() {
     use esp_storage::ftl::validate_bench;
