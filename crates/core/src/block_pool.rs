@@ -1,32 +1,34 @@
-//! The coarse-grained (CGM) flash-space engine.
+//! The block pool: one flash-space engine for every block-managed region.
 //!
-//! Manages a pool of erase blocks written in full-page units with a
-//! page-granularity (16 KB) logical-to-physical map — the management scheme
-//! of the paper's `cgmFTL` baseline, reused verbatim for subFTL's full-page
-//! region ("the full-page region is managed in exactly the same way as the
-//! CGM-based FTLs", §4.1).
+//! A pool manages a set of erase blocks that are programmed in whole 16 KB
+//! pages and tracks validity per *slot*. A slot is a page for the
+//! coarse-mapped regions — the paper's `cgmFTL`, subFTL's full-page region
+//! ("managed in exactly the same way as the CGM-based FTLs", §4.1) and the
+//! sector log's data region — and a 4 KB subpage for `fgmFTL` and the
+//! sector log's log region.
 //!
-//! Responsibilities:
+//! The pool owns:
 //!
-//! * block allocation with a least-worn-first free list (implicit wear
-//!   leveling within the pool),
-//! * greedy (min-valid-pages) garbage collection with victim copy-out —
-//!   optionally wear-biased ([`FullRegionEngine::set_wear_leveling`]):
-//!   among victims within a small valid-count slack of the greedy choice,
-//!   the least-worn block is collected so lightly-cycled blocks re-enter
-//!   the free pool,
-//! * static wear leveling ([`FullRegionEngine::wear_rotate`]): when the
-//!   pool's wear spread exceeds a threshold, the coldest full block (static
-//!   data pinned on a lightly-worn block) is relocated off it,
-//! * graceful end-of-life: when retirement and wear exhaust the reserve,
-//!   the engine sheds over-provisioning (watermark shrink) and then refuses
-//!   allocation with a typed [`SpaceExhausted`] instead of panicking,
-//! * the L2P page map, and
-//! * donating/adopting free blocks for cross-region wear leveling.
+//! * per-block state (device-global index, chip, pages programmed, valid
+//!   slots, close stamp, retired) as flat arrays, plus one validity vector
+//!   indexed by the packed slot pointer
+//!   (`block * slots_per_block + page * slots_per_page + slot`) that the
+//!   dense key → slot map also stores,
+//! * striped allocation: one open block per chip, refilled by a rule the
+//!   owner hands in (least-worn-first by default),
+//! * policy-driven GC victim selection ([`crate::GcPolicyKind`], optionally
+//!   wear-biased), the watermark / end-of-life space loop, background
+//!   collection, the read-disturb patrol, static wear rotation and the
+//!   erase-or-retire tail,
+//! * donating, swapping and adopting free blocks across regions, and the
+//!   crash harness's pool fingerprint and recovery-time rebuild.
 //!
-//! The engine issues device operations itself and charges their time; the
-//! host-facing policy (write buffering, RMW gathering, WAF attribution)
-//! stays in the owning FTL.
+//! What differs between owners is how live data leaves a victim: the page
+//! pool copies page by page ([`PageCopy`]), fgmFTL repacks surviving
+//! sectors `N_sub` to a page, and the sector log merges its victims into
+//! the data region. Each owner hands that routine to the pool's loops as a
+//! [`Relocate`] implementation. Host-facing policy (write buffering, RMW
+//! gathering, WAF attribution) stays in the owning FTL.
 
 use esp_nand::{Oob, PageAddr};
 use esp_sim::{EventBuffer, EventSink, SimTime, TraceEvent};
@@ -35,6 +37,7 @@ use esp_workload::SECTORS_PER_PAGE;
 
 use crate::eol::SpaceExhausted;
 use crate::gc_policy::{select_victim, GcPolicyKind, SelectOpts, VictimCandidate};
+use crate::recovery::BlockScan;
 use crate::stats::FtlStats;
 
 const NO_PTR: u32 = u32::MAX;
@@ -43,95 +46,186 @@ const NO_PTR: u32 = u32::MAX;
 /// in reserve so GC copy-out has somewhere to land.
 const WATERMARK_FLOOR: u32 = 1;
 
-#[derive(Debug, Clone)]
-struct FullBlock {
-    /// Device-global block index.
-    gbi: u32,
-    /// Chip holding this block (`gbi / blocks_per_chip`), precomputed so
-    /// hot paths like GC victim scans avoid a division per lookup.
-    chip: u32,
-    /// Per-page validity (a page is valid while the L2P points at it).
-    valid: Vec<bool>,
-    valid_count: u32,
-    /// Pages programmed so far (the write pointer when active).
-    programmed: u32,
-    /// Donated to another region; never used again under this engine.
-    retired: bool,
-    /// Monotone stamp taken when the block became fully programmed; 0 for
-    /// blocks restored by recovery (maximally old to the age-aware GC
-    /// policies). Reset on erase.
-    closed_seq: u64,
-}
-
-impl FullBlock {
-    fn new(gbi: u32, blocks_per_chip: u32, pages: u32) -> Self {
-        FullBlock {
-            gbi,
-            chip: gbi / blocks_per_chip,
-            valid: vec![false; pages as usize],
-            valid_count: 0,
-            programmed: 0,
-            retired: false,
-            closed_seq: 0,
-        }
-    }
-
-    fn is_full(&self, pages: u32) -> bool {
-        self.programmed >= pages
-    }
-}
-
-/// Packed physical page pointer: `local_block * pages_per_block + page`.
+/// Packed physical page pointer of a page pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PagePtr {
-    /// Engine-local block index.
+    /// Pool-local block index.
     pub block: u32,
     /// Page within the block.
     pub page: u32,
 }
 
-/// The CGM space engine (see module docs).
+/// How an owner moves the live slots of a GC victim out of it. The pool's
+/// loops pick the victim, call [`Relocate::relocate`], and erase (or
+/// retire) the victim only if no slot is left valid afterwards — a
+/// relocation that could not place everything leaves sole copies where
+/// they are.
+pub(crate) trait Relocate {
+    /// Moves every valid slot of `victim` elsewhere, returning when the
+    /// last copy completes. Stops early (leaving slots valid) when power
+    /// dies or the destination has no room.
+    fn relocate(
+        &mut self,
+        pool: &mut BlockPool,
+        victim: u32,
+        ssd: &mut Ssd,
+        stats: &mut FtlStats,
+        issue: SimTime,
+    ) -> SimTime;
+
+    /// Whether the space loop keeps collecting after the pool latched
+    /// exhaustion. The page pool retries on every call; fgmFTL stops.
+    fn gc_when_exhausted(&self) -> bool {
+        true
+    }
+
+    /// Whether `victim`'s live slots fit where relocation puts them right
+    /// now, so copy-out cannot wedge. By default: repacked whole pages fit
+    /// in the pool's own allocatable pages.
+    fn fits(&self, pool: &BlockPool, victim: u32) -> bool {
+        let pages = pool.valid_count(victim).div_ceil(pool.slots_per_page);
+        u64::from(pages) <= pool.allocatable_pages()
+    }
+
+    /// Highest effective P/E outside the pool that counts toward the wear
+    /// spread static rotation levels (0: only the pool's own blocks).
+    fn outside_max_pe(&self, _ssd: &Ssd) -> u32 {
+        0
+    }
+
+    /// Runs after a collected victim was erased and returned to the free
+    /// list.
+    fn after_erase(&mut self, _pool: &mut BlockPool, _ssd: &Ssd, _stats: &mut FtlStats) {}
+}
+
+/// The page pool's relocation: each valid page is read and reprogrammed
+/// under its own LPN, aborting before the victim's only copy of a page
+/// could be erased.
+pub(crate) struct PageCopy;
+
+impl Relocate for PageCopy {
+    fn relocate(
+        &mut self,
+        pool: &mut BlockPool,
+        victim: u32,
+        ssd: &mut Ssd,
+        stats: &mut FtlStats,
+        issue: SimTime,
+    ) -> SimTime {
+        let mut now = issue;
+        for page in 0..pool.pages_per_block {
+            let ptr = pool.pack(victim, page, 0);
+            if !pool.valid[ptr as usize] {
+                continue;
+            }
+            let addr = pool.page_of(victim, page, ssd);
+            let read_done = ssd.read_full_into(addr, now, &mut pool.slots_scratch);
+            if ssd.halted() {
+                // Power died before the relocation finished: the victim's
+                // remaining valid pages stay where they are on flash, and
+                // the in-DRAM state of this half-done GC dies with power.
+                return now;
+            }
+            // Recover the LPN from the spare area of any data slot.
+            let lpn = pool
+                .slots_scratch
+                .iter()
+                .find_map(|r| r.as_ref().ok().map(|o| o.lsn / u64::from(SECTORS_PER_PAGE)))
+                .expect("valid page with no data slots");
+            debug_assert_eq!(pool.mapped(lpn), Some(ptr), "validity and map out of sync");
+            let mut oobs = std::mem::take(&mut pool.oobs_scratch);
+            oobs.clear();
+            oobs.extend(pool.slots_scratch.iter().map(|r| r.as_ref().ok().copied()));
+            let data_sectors = oobs.iter().flatten().count() as u64;
+            now = pool.program_internal(lpn, &oobs, ssd, stats, read_done);
+            pool.oobs_scratch = oobs;
+            if pool.mapped(lpn) == Some(ptr) {
+                // Relocation could not land anywhere (absolute exhaustion):
+                // stop before the erase can destroy the only valid copy.
+                return now;
+            }
+            stats.gc_copied_sectors += data_sectors;
+            stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
+        }
+        now
+    }
+}
+
+/// Picks the free-list position of the block that refills `chip`'s open
+/// block, or `None` when the chip has no free block.
+pub(crate) type Refill = fn(&BlockPool, usize, &Ssd) -> Option<usize>;
+
+/// The default refill rule: the chip's least-worn free block, first in
+/// free-list order among equals.
+fn least_worn_refill(pool: &BlockPool, chip: usize, ssd: &Ssd) -> Option<usize> {
+    pool.free_on_chip(chip)
+        .min_by_key(|&(_, b)| pool.block_pe(b, ssd))
+        .map(|(pos, _)| pos)
+}
+
+/// The block pool (see module docs).
 #[derive(Debug, Clone)]
-pub struct FullRegionEngine {
+pub struct BlockPool {
     pages_per_block: u32,
+    /// Validity slots per page: 1 (page slots) or `N_sub` (subpage slots).
+    slots_per_page: u32,
     /// Device blocks-per-chip, used to derive a block's chip for striping.
     blocks_per_chip: u32,
-    blocks: Vec<FullBlock>,
-    /// Erased blocks ready for allocation (engine-local indices).
+    /// Device-global block index, per pool-local block.
+    gbi: Vec<u32>,
+    /// Chip holding each block (`gbi / blocks_per_chip`), precomputed so
+    /// victim scans avoid a division per lookup.
+    chip: Vec<u32>,
+    /// Pages programmed so far (the write pointer when active).
+    programmed: Vec<u32>,
+    valid_count: Vec<u32>,
+    /// Monotone stamp taken when a block became fully programmed; 0 for
+    /// erased or recovery-restored blocks (maximally old to the age-aware
+    /// GC policies).
+    closed_seq: Vec<u64>,
+    /// Grown bad or donated to another region: never used again here.
+    retired: Vec<bool>,
+    /// Per-slot validity, indexed by packed slot pointer.
+    valid: Vec<bool>,
+    /// Erased blocks ready for allocation (pool-local indices).
     free: Vec<u32>,
     /// One active (open) block per chip, so programs stripe across chips
     /// and exploit the multi-channel parallelism the paper's platform has.
     actives: Vec<Option<u32>>,
     /// Round-robin cursor over chips.
     rr: usize,
-    /// L2P: logical page number → packed pointer (`NO_PTR` = unmapped).
-    l2p: Vec<u32>,
+    /// Dense map: key (LPN or LSN) → packed slot pointer (`NO_PTR` =
+    /// unmapped). Empty for a pool whose owner keeps a sparse map.
+    map: Vec<u32>,
     watermark: u32,
     /// Wear-aware victim selection and cold-block rotation enabled.
     wear_leveling: bool,
-    /// GC victim-selection policy (greedy by default — bit-identical to
-    /// the historical hard-coded scan).
+    /// GC victim-selection policy (greedy by default).
     gc_policy: GcPolicyKind,
     /// Next close stamp (starts at 1 so restored blocks' stamp 0 reads as
     /// oldest).
     closed_seq_counter: u64,
-    /// Allocation failed at the watermark floor: the engine is end-of-life
+    /// Allocation failed at the watermark floor: the pool is end-of-life
     /// (or overcommitted) and refuses further space-consuming work.
     exhausted: bool,
     /// Blocks lost to grown-bad retirement (erase failures and
-    /// [`FullRegionEngine::retire_gbi`]); donations are not counted. Decides
+    /// [`BlockPool::retire_gbi`]); donations are not counted. Decides
     /// whether exhaustion reports [`SpaceExhausted::EndOfLife`].
     retired_bad: u32,
+    /// How an empty open block is refilled.
+    refill: Refill,
     /// GC/scrub/reclaim event recorder; disabled (free) by default.
     trace: EventBuffer,
-    /// Reused full-page read buffer and OOB staging for GC relocation and
-    /// read-reclaim, so those hot paths allocate nothing per page.
+    /// Reused full-page read buffer and OOB staging for page relocation
+    /// and read-reclaim, so those hot paths allocate nothing per page.
     slots_scratch: Vec<Result<Oob, esp_nand::ReadFault>>,
     oobs_scratch: Vec<Option<Oob>>,
+    /// Reused GC victim candidate list.
+    victims: Vec<VictimCandidate>,
 }
 
-impl FullRegionEngine {
-    /// Creates an engine over the given device-global blocks, mapping a
+impl BlockPool {
+    /// Creates a page pool over the given device-global blocks, mapping a
     /// logical space of `lpn_count` 16 KB pages. `blocks_per_chip` is the
     /// device's blocks-per-chip count, used to stripe writes across chips.
     ///
@@ -146,66 +240,143 @@ impl FullRegionEngine {
         lpn_count: u64,
         watermark: u32,
     ) -> Self {
-        assert!(!gbis.is_empty(), "full region needs at least one block");
         assert!(
             gbis.len() as u32 > watermark,
             "watermark {watermark} leaves no usable blocks"
         );
-        assert!(blocks_per_chip > 0, "blocks_per_chip must be non-zero");
-        let blocks: Vec<FullBlock> = gbis
-            .iter()
-            .map(|&g| FullBlock::new(g, blocks_per_chip, pages_per_block))
-            .collect();
-        let chips = gbis
-            .iter()
-            .map(|&g| g / blocks_per_chip)
-            .max()
-            .expect("non-empty") as usize
-            + 1;
-        let free = (0..blocks.len() as u32).collect();
-        FullRegionEngine {
+        Self::with_slots(
+            gbis,
             pages_per_block,
+            1,
             blocks_per_chip,
-            blocks,
-            free,
+            lpn_count,
+            watermark,
+        )
+    }
+
+    /// Creates a pool with `slots_per_page` validity slots per page and a
+    /// dense map over `keys` keys (0 when the owner keeps its own map).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gbis` is empty.
+    pub(crate) fn with_slots(
+        gbis: Vec<u32>,
+        pages_per_block: u32,
+        slots_per_page: u32,
+        blocks_per_chip: u32,
+        keys: u64,
+        watermark: u32,
+    ) -> Self {
+        assert!(!gbis.is_empty(), "block pool needs at least one block");
+        assert!(blocks_per_chip > 0, "blocks_per_chip must be non-zero");
+        let n = gbis.len();
+        let chip: Vec<u32> = gbis.iter().map(|&g| g / blocks_per_chip).collect();
+        let chips = *chip.iter().max().expect("non-empty") as usize + 1;
+        BlockPool {
+            pages_per_block,
+            slots_per_page,
+            blocks_per_chip,
+            gbi: gbis,
+            chip,
+            programmed: vec![0; n],
+            valid_count: vec![0; n],
+            closed_seq: vec![0; n],
+            retired: vec![false; n],
+            valid: vec![false; n * (pages_per_block * slots_per_page) as usize],
+            free: (0..n as u32).collect(),
             actives: vec![None; chips],
             rr: 0,
-            l2p: vec![NO_PTR; lpn_count as usize],
+            map: vec![NO_PTR; keys as usize],
             watermark,
             wear_leveling: false,
             gc_policy: GcPolicyKind::Greedy,
             closed_seq_counter: 1,
             exhausted: false,
             retired_bad: 0,
+            refill: least_worn_refill,
             trace: EventBuffer::disabled(),
             slots_scratch: Vec::new(),
             oobs_scratch: Vec::new(),
+            victims: Vec::new(),
         }
     }
 
-    /// Arms event tracing for the engine's GC/scrub/reclaim decisions,
+    /// Replaces the rule that picks a chip's next open block.
+    pub(crate) fn set_refill(&mut self, refill: Refill) {
+        self.refill = refill;
+    }
+
+    /// Arms event tracing for the pool's GC/scrub/reclaim decisions,
     /// keeping at most `capacity` events (keep-newest). Off by default.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.trace.enable(capacity);
     }
 
-    /// The engine's trace recorder (empty unless
-    /// [`FullRegionEngine::enable_tracing`] was called).
+    /// The pool's trace recorder (empty unless
+    /// [`BlockPool::enable_tracing`] was called).
     #[must_use]
     pub fn trace(&self) -> &EventBuffer {
         &self.trace
     }
 
-    fn chip_of(&self, local: u32) -> usize {
-        self.blocks[local as usize].chip as usize
+    /// The recorder, for owner-level events that belong with the pool's.
+    pub(crate) fn trace_mut(&mut self) -> &mut EventBuffer {
+        &mut self.trace
     }
 
-    /// O(1) test for "is this block an open active block". Equivalent to
-    /// `self.actives.contains(&Some(local))`: an active block only ever
-    /// occupies its own chip's slot (see
-    /// [`FullRegionEngine::alloc_page`]).
+    pub(crate) fn pages_per_block(&self) -> u32 {
+        self.pages_per_block
+    }
+
+    pub(crate) fn slots_per_block(&self) -> u32 {
+        self.pages_per_block * self.slots_per_page
+    }
+
+    /// Packs a slot pointer.
+    pub(crate) fn pack(&self, block: u32, page: u32, slot: u32) -> u32 {
+        block * self.slots_per_block() + page * self.slots_per_page + slot
+    }
+
+    /// Splits a slot pointer into `(block, page, slot)`.
+    pub(crate) fn unpack(&self, ptr: u32) -> (u32, u32, u32) {
+        let spb = self.slots_per_block();
+        (
+            ptr / spb,
+            (ptr % spb) / self.slots_per_page,
+            ptr % self.slots_per_page,
+        )
+    }
+
+    /// Device-global index of pool-local block `local`.
+    pub(crate) fn gbi(&self, local: u32) -> u32 {
+        self.gbi[local as usize]
+    }
+
+    pub(crate) fn valid_count(&self, local: u32) -> u32 {
+        self.valid_count[local as usize]
+    }
+
+    pub(crate) fn is_valid(&self, ptr: u32) -> bool {
+        self.valid[ptr as usize]
+    }
+
+    /// Whether any slot of `page` in block `local` holds valid data.
+    pub(crate) fn page_has_valid(&self, local: u32, page: u32) -> bool {
+        let start = self.pack(local, page, 0) as usize;
+        self.valid[start..start + self.slots_per_page as usize]
+            .iter()
+            .any(|&v| v)
+    }
+
+    /// O(1) test for "is this block an open active block": an active
+    /// block only ever occupies its own chip's slot (see `alloc_page`).
     fn is_active(&self, local: u32) -> bool {
-        self.actives[self.chip_of(local)] == Some(local)
+        self.actives[self.chip[local as usize] as usize] == Some(local)
+    }
+
+    fn is_full(&self, local: u32) -> bool {
+        self.programmed[local as usize] >= self.pages_per_block
     }
 
     /// Number of erased blocks available.
@@ -214,14 +385,23 @@ impl FullRegionEngine {
         self.free.len() as u32
     }
 
+    /// Free-list positions and blocks on `chip`, in free-list order.
+    pub(crate) fn free_on_chip(&self, chip: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.free
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(move |&(_, b)| self.chip[b as usize] as usize == chip)
+    }
+
     /// Total (non-retired) blocks under management.
     #[must_use]
     pub fn block_count(&self) -> u32 {
-        self.blocks.iter().filter(|b| !b.retired).count() as u32
+        self.retired.iter().filter(|&&r| !r).count() as u32
     }
 
     /// Enables (or disables) wear-aware victim selection and cold-block
-    /// rotation. Off by default; with it off the engine's decisions are
+    /// rotation. Off by default; with it off the pool's decisions are
     /// bit-identical to the pre-wear-leveling behaviour.
     pub fn set_wear_leveling(&mut self, on: bool) {
         self.wear_leveling = on;
@@ -248,9 +428,9 @@ impl FullRegionEngine {
     /// Stamps `local` with the next close sequence if it just became fully
     /// programmed (feeds the age term of the age-aware GC policies).
     fn note_closed(&mut self, local: u32) {
-        let blk = &mut self.blocks[local as usize];
-        if blk.programmed >= self.pages_per_block && blk.closed_seq == 0 {
-            blk.closed_seq = self.closed_seq_counter;
+        let b = local as usize;
+        if self.programmed[b] >= self.pages_per_block && self.closed_seq[b] == 0 {
+            self.closed_seq[b] = self.closed_seq_counter;
             self.closed_seq_counter += 1;
         }
     }
@@ -262,9 +442,9 @@ impl FullRegionEngine {
         self.watermark
     }
 
-    /// True once allocation has failed at the watermark floor: the engine
+    /// True once allocation has failed at the watermark floor: the pool
     /// refuses space-consuming work from then on (see
-    /// [`FullRegionEngine::exhaustion`] for the typed cause).
+    /// [`BlockPool::exhaustion`] for the typed cause).
     #[must_use]
     pub fn exhausted(&self) -> bool {
         self.exhausted
@@ -289,26 +469,21 @@ impl FullRegionEngine {
             .actives
             .iter()
             .flatten()
-            .map(|&b| u64::from(self.pages_per_block - self.blocks[b as usize].programmed))
+            .map(|&b| u64::from(self.pages_per_block - self.programmed[b as usize]))
             .sum();
         active_room + self.free.len() as u64 * u64::from(self.pages_per_block)
     }
 
     /// Whether at least one more page can be allocated right now.
-    fn can_alloc_page(&self) -> bool {
-        !self.free.is_empty()
-            || self
-                .actives
-                .iter()
-                .flatten()
-                .any(|&b| !self.blocks[b as usize].is_full(self.pages_per_block))
+    pub(crate) fn can_alloc_page(&self) -> bool {
+        !self.free.is_empty() || self.actives.iter().flatten().any(|&b| !self.is_full(b))
     }
 
-    /// Effective P/E cycles of engine-local block `local` (raw erase count
+    /// Effective P/E cycles of pool-local block `local` (raw erase count
     /// unless adaptive erase is charging fractional stress).
-    fn block_pe(&self, local: u32, ssd: &Ssd) -> u32 {
-        let gbi = self.blocks[local as usize].gbi;
-        ssd.device().effective_pe(ssd.geometry().block_addr(gbi))
+    pub(crate) fn block_pe(&self, local: u32, ssd: &Ssd) -> u32 {
+        ssd.device()
+            .effective_pe(ssd.geometry().block_addr(self.gbi[local as usize]))
     }
 
     /// Min/max effective P/E over all non-retired blocks under management,
@@ -316,11 +491,11 @@ impl FullRegionEngine {
     #[must_use]
     pub fn wear_spread(&self, ssd: &Ssd) -> Option<(u32, u32)> {
         let mut bounds: Option<(u32, u32)> = None;
-        for (i, b) in self.blocks.iter().enumerate() {
-            if b.retired {
+        for i in 0..self.gbi.len() as u32 {
+            if self.retired[i as usize] {
                 continue;
             }
-            let pe = self.block_pe(i as u32, ssd);
+            let pe = self.block_pe(i, ssd);
             bounds = Some(match bounds {
                 None => (pe, pe),
                 Some((lo, hi)) => (lo.min(pe), hi.max(pe)),
@@ -329,38 +504,36 @@ impl FullRegionEngine {
         bounds
     }
 
-    /// Order-independent digest of the engine's allocation state (free
-    /// pool, retired pool, open blocks), used by the crash harness to
-    /// prove recovery is idempotent. Simulated times are excluded on
-    /// purpose: two mounts of the same flash image happen at different
-    /// clocks but must land in the same state.
+    /// Order-independent digest of the pool's allocation state (free
+    /// pool, open blocks, per-block fill of live blocks), used by the crash
+    /// harness to prove recovery is idempotent. Simulated times are
+    /// excluded on purpose: two mounts of the same flash image happen at
+    /// different clocks but must land in the same state.
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
         // Keyed by device-global block index, not local position: two
         // mounts of the same image may deal the regions in a different
-        // order, and retired blocks (grown bad, or donated to the subpage
-        // region) drop out of the engine entirely on a remount.
+        // order, and retired blocks (grown bad, or donated to another
+        // region) drop out of the pool entirely on a remount.
         let mut out = Vec::new();
         let mut free: Vec<u64> = self
             .free
             .iter()
-            .map(|&b| u64::from(self.blocks[b as usize].gbi))
+            .map(|&b| u64::from(self.gbi[b as usize]))
             .collect();
         free.sort_unstable();
         out.extend(free);
         out.push(u64::MAX);
         for a in &self.actives {
-            out.push(a.map_or(u64::MAX - 1, |b| u64::from(self.blocks[b as usize].gbi)));
+            out.push(a.map_or(u64::MAX - 1, |b| u64::from(self.gbi[b as usize])));
         }
         out.push(u64::MAX);
-        let mut live: Vec<[u64; 3]> = self
-            .blocks
-            .iter()
-            .filter(|b| !b.retired)
+        let mut live: Vec<[u64; 3]> = (0..self.gbi.len())
+            .filter(|&b| !self.retired[b])
             .map(|b| {
                 [
-                    u64::from(b.gbi),
-                    u64::from(b.programmed),
-                    u64::from(b.valid_count),
+                    u64::from(self.gbi[b]),
+                    u64::from(self.programmed[b]),
+                    u64::from(self.valid_count[b]),
                 ]
             })
             .collect();
@@ -371,38 +544,64 @@ impl FullRegionEngine {
         out
     }
 
+    /// The slot pointer currently mapped for `key`, if any.
+    pub(crate) fn mapped(&self, key: u64) -> Option<u32> {
+        let ptr = *self.map.get(key as usize)?;
+        (ptr != NO_PTR).then_some(ptr)
+    }
+
     /// The physical page currently mapped for `lpn`, if any.
     #[must_use]
     pub fn lookup(&self, lpn: u64) -> Option<PagePtr> {
-        let packed = *self.l2p.get(lpn as usize)?;
-        if packed == NO_PTR {
-            None
-        } else {
-            Some(PagePtr {
-                block: packed / self.pages_per_block,
-                page: packed % self.pages_per_block,
-            })
-        }
+        self.mapped(lpn).map(|ptr| {
+            let (block, page, _) = self.unpack(ptr);
+            PagePtr { block, page }
+        })
     }
 
     /// Translates a pointer to a device page address.
     #[must_use]
     pub fn page_addr(&self, ptr: PagePtr, ssd: &Ssd) -> PageAddr {
-        let gbi = self.blocks[ptr.block as usize].gbi;
-        ssd.geometry().block_addr(gbi).page(ptr.page)
+        self.page_of(ptr.block, ptr.page, ssd)
     }
 
-    /// Unmaps `lpn` (trim-style): the old physical page becomes garbage.
-    pub fn unmap(&mut self, lpn: u64) {
-        let packed = self.l2p[lpn as usize];
-        if packed != NO_PTR {
-            let (b, p) = (packed / self.pages_per_block, packed % self.pages_per_block);
-            let blk = &mut self.blocks[b as usize];
-            if blk.valid[p as usize] {
-                blk.valid[p as usize] = false;
-                blk.valid_count -= 1;
-            }
-            self.l2p[lpn as usize] = NO_PTR;
+    /// Device address of page `page` of pool-local block `local`.
+    pub(crate) fn page_of(&self, local: u32, page: u32, ssd: &Ssd) -> PageAddr {
+        ssd.geometry()
+            .block_addr(self.gbi[local as usize])
+            .page(page)
+    }
+
+    /// Marks slot `ptr` valid (its block gains a valid slot).
+    pub(crate) fn set_valid(&mut self, ptr: u32) {
+        debug_assert!(!self.valid[ptr as usize], "slot {ptr} already valid");
+        self.valid[ptr as usize] = true;
+        let block = ptr / self.slots_per_block();
+        self.valid_count[block as usize] += 1;
+    }
+
+    /// Marks slot `ptr` garbage, if it was valid.
+    pub(crate) fn clear_valid(&mut self, ptr: u32) {
+        if self.valid[ptr as usize] {
+            self.valid[ptr as usize] = false;
+            let block = ptr / self.slots_per_block();
+            self.valid_count[block as usize] -= 1;
+        }
+    }
+
+    /// Maps `key` to slot `ptr`; the previous copy, if any, becomes garbage.
+    pub(crate) fn map_slot(&mut self, key: u64, ptr: u32) {
+        self.unmap(key);
+        self.map[key as usize] = ptr;
+        self.set_valid(ptr);
+    }
+
+    /// Unmaps `key` (trim-style): its old slot becomes garbage.
+    pub fn unmap(&mut self, key: u64) {
+        let ptr = self.map[key as usize];
+        if ptr != NO_PTR {
+            self.clear_valid(ptr);
+            self.map[key as usize] = NO_PTR;
         }
     }
 
@@ -416,8 +615,8 @@ impl FullRegionEngine {
     /// # Panics
     ///
     /// Panics if the pool is exhausted (see
-    /// [`FullRegionEngine::try_program_page`] for the non-panicking form)
-    /// or an OOB entry carries an inconsistent LSN.
+    /// [`BlockPool::try_program_page`] for the non-panicking form) or an
+    /// OOB entry carries an inconsistent LSN.
     pub fn program_page(
         &mut self,
         lpn: u64,
@@ -427,19 +626,19 @@ impl FullRegionEngine {
         issue: SimTime,
     ) -> SimTime {
         self.try_program_page(lpn, oobs, ssd, stats, issue)
-            .unwrap_or_else(|e| panic!("full region out of space: {e}"))
+            .unwrap_or_else(|e| panic!("block pool out of space: {e}"))
     }
 
-    /// Like [`FullRegionEngine::program_page`], but reports pool exhaustion
-    /// as a typed error instead of panicking: callers on the host write
-    /// path turn [`SpaceExhausted`] into a refused write plus the read-only
+    /// Like [`BlockPool::program_page`], but reports pool exhaustion as a
+    /// typed error instead of panicking: callers on the host write path
+    /// turn [`SpaceExhausted`] into a refused write plus the read-only
     /// latch (end-of-life degradation, DESIGN.md §11).
     ///
     /// # Errors
     ///
-    /// Returns the engine's [`FullRegionEngine::exhaustion`] cause when GC
-    /// (after shedding over-provisioning down to the watermark floor)
-    /// cannot make a page allocatable.
+    /// Returns the pool's [`BlockPool::exhaustion`] cause when GC (after
+    /// shedding over-provisioning down to the watermark floor) cannot make
+    /// a page allocatable.
     ///
     /// # Panics
     ///
@@ -462,7 +661,7 @@ impl FullRegionEngine {
                 );
             }
         }
-        let ready = self.ensure_space(ssd, stats, issue);
+        let ready = self.ensure_space(&mut PageCopy, ssd, stats, issue);
         if !ssd.halted() && !self.can_alloc_page() {
             return Err(self.exhaustion());
         }
@@ -471,12 +670,43 @@ impl FullRegionEngine {
         Ok(done)
     }
 
-    /// Allocates the next page of the active block (popping a new free
-    /// block if needed) and programs it, updating the map and validity.
-    ///
-    /// A program that reports status fail is retried on the next allocated
-    /// page (write retry): the failed page stays accounted as programmed
-    /// with no valid data, so GC reclaims it with the rest of its block.
+    /// Programs the next allocated page with `oobs`, returning the
+    /// `(block, page, completion)` it landed on. A program that reports
+    /// status fail is retried on the next allocated page (write retry): the
+    /// failed page stays accounted as programmed with no valid data, so GC
+    /// reclaims it with the rest of its block. Returns `Err` with the
+    /// current time when power is off or no page is left.
+    pub(crate) fn program(
+        &mut self,
+        oobs: &[Option<Oob>],
+        ssd: &mut Ssd,
+        stats: &mut FtlStats,
+        issue: SimTime,
+    ) -> Result<(u32, u32, SimTime), SimTime> {
+        let mut now = issue;
+        loop {
+            // Power off (the pool may legitimately be empty with GC fenced)
+            // or absolute exhaustion (program-failure retries burned the
+            // last pages of a dying pool): drop the program instead of
+            // panicking. Maps are untouched, so old copies stay readable.
+            if ssd.halted() || !self.can_alloc_page() {
+                return Err(now);
+            }
+            let (block, page) = self.alloc_page(ssd);
+            let addr = self.page_of(block, page, ssd);
+            match ssd.program_full(addr, oobs, now) {
+                Ok(done) => return Ok((block, page, done)),
+                Err(f) if f.error == esp_nand::NandError::ProgramFailed => {
+                    stats.program_failures += 1;
+                    stats.write_retries += 1;
+                    now = f.at;
+                }
+                Err(f) => panic!("pool allocated a clean page: {f}"),
+            }
+        }
+    }
+
+    /// Programs one page for `lpn` and maps it (page pools).
     fn program_internal(
         &mut self,
         lpn: u64,
@@ -485,101 +715,50 @@ impl FullRegionEngine {
         stats: &mut FtlStats,
         issue: SimTime,
     ) -> SimTime {
-        let mut now = issue;
-        loop {
-            if ssd.halted() {
-                // Power is off: nothing will reach the array, and with GC
-                // disabled the pool may legitimately be empty — bail out
-                // before alloc_page can panic over it.
-                return now;
+        match self.program(oobs, ssd, stats, issue) {
+            Ok((block, page, done)) => {
+                self.map_slot(lpn, self.pack(block, page, 0));
+                done
             }
-            if !self.can_alloc_page() {
-                // Absolute exhaustion (program-failure retries burned the
-                // last pages of a dying pool): drop the program instead of
-                // panicking. The map is untouched, so the previous copy of
-                // `lpn` — if any — remains valid and readable.
-                return now;
-            }
-            let (block, page) = self.alloc_page(ssd);
-            let gbi = self.blocks[block as usize].gbi;
-            let addr = ssd.geometry().block_addr(gbi).page(page);
-            match ssd.program_full(addr, oobs, now) {
-                Ok(done) => {
-                    // Invalidate the old copy, map the new one.
-                    self.unmap(lpn);
-                    self.l2p[lpn as usize] = block * self.pages_per_block + page;
-                    let blk = &mut self.blocks[block as usize];
-                    blk.valid[page as usize] = true;
-                    blk.valid_count += 1;
-                    return done;
-                }
-                Err(f) if f.error == esp_nand::NandError::ProgramFailed => {
-                    stats.program_failures += 1;
-                    stats.write_retries += 1;
-                    now = f.at;
-                }
-                Err(f) => panic!("engine allocated a clean page: {f}"),
-            }
+            Err(now) => now,
         }
     }
 
     /// Next write position: round-robins over per-chip active blocks so
-    /// consecutive programs land on different chips; opens the least-worn
-    /// free block of a chip when its active block fills.
+    /// consecutive programs land on different chips; a full active block is
+    /// replaced by the free block the refill rule picks on its chip.
     ///
     /// # Panics
     ///
-    /// Panics if no chip has space (the watermark logic in
-    /// [`FullRegionEngine::ensure_space`] prevents this in normal use).
+    /// Panics if no chip has space (callers check
+    /// [`BlockPool::can_alloc_page`] first).
     fn alloc_page(&mut self, ssd: &Ssd) -> (u32, u32) {
         let chips = self.actives.len();
-        // Every chip's least-worn free block, found in ONE pass over the
-        // pool, computed lazily on the first chip that needs a refill.
-        // The pool is not mutated until a pick succeeds (which returns),
-        // so the single pass sees exactly what per-chip scans would see,
-        // and keeping the first strict minimum in pool order reproduces
-        // `min_by_key`'s first-minimum tie-break per chip.
-        let mut picks: Option<Vec<Option<(u32, usize)>>> = None;
         for i in 0..chips {
             let chip = (self.rr + i) % chips;
-            let usable = match self.actives[chip] {
-                Some(b) => !self.blocks[b as usize].is_full(self.pages_per_block),
-                None => false,
-            };
-            if !usable {
-                // Open the least-worn free block on this chip, if any.
-                let picks = picks.get_or_insert_with(|| {
-                    let mut p: Vec<Option<(u32, usize)>> = vec![None; chips];
-                    for (idx, &b) in self.free.iter().enumerate() {
-                        let c = self.chip_of(b);
-                        let pe = self.block_pe(b, ssd);
-                        if p[c].is_none_or(|(best, _)| pe < best) {
-                            p[c] = Some((pe, idx));
-                        }
-                    }
-                    p
-                });
-                match picks[chip] {
-                    Some((_, p)) => self.actives[chip] = Some(self.free.swap_remove(p)),
+            if self.actives[chip].is_none_or(|b| self.is_full(b)) {
+                match (self.refill)(self, chip, ssd) {
+                    Some(pos) => self.actives[chip] = Some(self.free.swap_remove(pos)),
                     None => continue, // this chip is out of space; try next
                 }
             }
             let block = self.actives[chip].expect("just ensured");
-            let page = self.blocks[block as usize].programmed;
-            self.blocks[block as usize].programmed += 1;
+            let page = self.programmed[block as usize];
+            self.programmed[block as usize] += 1;
             self.note_closed(block);
             self.rr = chip + 1;
             return (block, page);
         }
-        panic!("no free block on any chip: region overcommitted");
+        panic!("no free block on any chip: pool overcommitted");
     }
 
     /// Background collection during a host idle window: reclaims victims
     /// while the free pool sits below `target` free blocks and the clock
     /// stays inside `[issue, until]` (the final victim may overrun
-    /// slightly). Only profitable victims (any invalid page) are taken.
-    pub fn background_collect(
+    /// slightly). Only profitable victims (any invalid slot) are taken.
+    pub(crate) fn background_collect(
         &mut self,
+        reloc: &mut impl Relocate,
         ssd: &mut Ssd,
         stats: &mut FtlStats,
         issue: SimTime,
@@ -595,37 +774,46 @@ impl FullRegionEngine {
             let Some(v) = self.pick_victim(ssd) else {
                 break;
             };
-            let valid = self.blocks[v as usize].valid_count;
-            if valid >= self.pages_per_block {
+            let valid = self.valid_count[v as usize];
+            if valid >= self.slots_per_block() {
                 break; // nothing reclaimable
             }
-            if u64::from(valid) > self.allocatable_pages() {
+            if !reloc.fits(self, v) {
                 break; // copy-out would wedge a dying pool
             }
             // Start the victim only if it fits in the remaining window (the
             // whole point is to stay off the foreground path).
-            let estimate = per_copy * u64::from(valid) + erase;
+            let estimate = per_copy * u64::from(valid.div_ceil(self.slots_per_page)) + erase;
             if now + estimate > until {
                 break;
             }
             now = self
-                .try_collect_victim(ssd, stats, now, "background")
+                .try_collect_victim(reloc, ssd, stats, now, "background")
                 .expect("victim checked profitable and feasible");
         }
         now
     }
 
-    /// Runs greedy GC until the free pool is above the watermark, degrading
+    /// Runs GC until the free pool is above the watermark, degrading
     /// gracefully when it cannot get there: with no profitable-and-feasible
     /// victim left, the watermark is shed step by step (over-provisioning
     /// shrink, counted in `op_shrinks`) down to a floor of 1; at the floor
-    /// the engine latches [`FullRegionEngine::exhausted`] and returns
-    /// instead of panicking or spinning. Returns when the last GC operation
-    /// completes (`issue` if no GC was needed).
-    pub fn ensure_space(&mut self, ssd: &mut Ssd, stats: &mut FtlStats, issue: SimTime) -> SimTime {
+    /// the pool latches [`BlockPool::exhausted`] and returns instead of
+    /// panicking or spinning. Returns when the last GC operation completes
+    /// (`issue` if no GC was needed).
+    pub(crate) fn ensure_space(
+        &mut self,
+        reloc: &mut impl Relocate,
+        ssd: &mut Ssd,
+        stats: &mut FtlStats,
+        issue: SimTime,
+    ) -> SimTime {
         let mut now = issue;
+        if self.exhausted && !reloc.gc_when_exhausted() {
+            return now;
+        }
         while !ssd.halted() && (self.free.len() as u32) < self.watermark {
-            match self.try_collect_victim(ssd, stats, now, "watermark") {
+            match self.try_collect_victim(reloc, ssd, stats, now, "watermark") {
                 Some(done) => now = done,
                 None if self.watermark > WATERMARK_FLOOR => {
                     // Degradation step 1: shed over-provisioning. A lower
@@ -645,9 +833,9 @@ impl FullRegionEngine {
         now
     }
 
-    /// Read-reclaim: rewrites the current copy of `lpn` to a fresh page,
-    /// resetting its retention age and escaping its (disturbed) block.
-    /// Slots that are already uncorrectable are dropped — relocation
+    /// Read-reclaim (page pools): rewrites the current copy of `lpn` to a
+    /// fresh page, resetting its retention age and escaping its (disturbed)
+    /// block. Slots that are already uncorrectable are dropped — relocation
     /// preserves whatever the ladder can still recover. No-op if `lpn` is
     /// unmapped or nothing on the page is recoverable.
     pub fn reclaim_page(
@@ -673,7 +861,7 @@ impl FullRegionEngine {
             self.oobs_scratch = oobs;
             return read_done;
         }
-        let ready = self.ensure_space(ssd, stats, read_done);
+        let ready = self.ensure_space(&mut PageCopy, ssd, stats, read_done);
         if !self.can_alloc_page() {
             // Exhausted pool: leave the data where it is rather than risk
             // losing the mapping; the ladder keeps serving it as long as it
@@ -699,8 +887,9 @@ impl FullRegionEngine {
     /// count since its last erase reached `limit` (the erase discharges the
     /// accumulated disturb). Open blocks are closed first so they stop
     /// absorbing senses. Returns when the last scrub completes.
-    pub fn scrub_disturbed(
+    pub(crate) fn scrub_disturbed(
         &mut self,
+        reloc: &mut impl Relocate,
         ssd: &mut Ssd,
         stats: &mut FtlStats,
         limit: u64,
@@ -708,38 +897,44 @@ impl FullRegionEngine {
     ) -> SimTime {
         let mut now = issue;
         while !ssd.halted() {
-            let victim = (0..self.blocks.len() as u32).find(|&b| {
-                let blk = &self.blocks[b as usize];
-                !blk.retired
-                    && blk.programmed > 0
-                    && ssd
-                        .device()
-                        .reads_since_erase(ssd.geometry().block_addr(blk.gbi))
-                        >= limit
-            });
-            let Some(victim) = victim else { break };
+            let disturbed = |b: usize| {
+                ssd.device()
+                    .reads_since_erase(ssd.geometry().block_addr(self.gbi[b]))
+                    >= limit
+            };
+            let Some(victim) = (0..self.gbi.len())
+                .find(|&b| !self.retired[b] && self.programmed[b] > 0 && disturbed(b))
+            else {
+                break;
+            };
+            let victim = victim as u32;
             for a in &mut self.actives {
                 if *a == Some(victim) {
                     *a = None;
                 }
             }
-            self.blocks[victim as usize].programmed = self.pages_per_block;
+            self.programmed[victim as usize] = self.pages_per_block;
             self.note_closed(victim);
             // Copy-out needs allocatable space; GC here may collect (and
             // thereby scrub) the victim itself, so re-check before taking
             // it — a completed erase already reset its sense count.
-            now = self.ensure_space(ssd, stats, now);
-            let addr = ssd.geometry().block_addr(self.blocks[victim as usize].gbi);
+            now = self.ensure_space(reloc, ssd, stats, now);
+            let addr = ssd.geometry().block_addr(self.gbi(victim));
             if ssd.device().reads_since_erase(addr) >= limit && !ssd.halted() {
-                let gbi = self.blocks[victim as usize].gbi;
+                let gbi = self.gbi(victim);
                 let at = now.as_nanos();
                 self.trace.emit(|| {
                     TraceEvent::new(at, "gc.scrub")
                         .tag("disturb")
                         .field("block", u64::from(gbi))
                 });
-                now = self.collect_block(victim, ssd, stats, now);
+                now = self.collect(reloc, victim, ssd, stats, now);
                 stats.disturb_scrubs += 1;
+                if self.valid_count(victim) > 0 {
+                    // Space exhausted: the block cannot be relocated, and
+                    // retrying it forever would livelock the patrol.
+                    break;
+                }
             }
         }
         now
@@ -747,75 +942,109 @@ impl FullRegionEngine {
 
     /// Policy-driven victim choice over the full, non-retired, non-active
     /// blocks (see [`crate::GcPolicyKind`]; greedy — the default — picks
-    /// the fewest valid pages, bit-identical to the historical scan). With
-    /// wear leveling on, candidates within a small valid-count slack (1/8
-    /// of a block, at least one page) of the policy's choice compete on
-    /// effective wear instead — collecting the least-worn of them cycles
-    /// cold blocks back into service (dynamic wear leveling).
-    fn pick_victim(&self, ssd: &Ssd) -> Option<u32> {
-        let mut candidates = Vec::new();
-        for (i, b) in self.blocks.iter().enumerate() {
-            if !b.is_full(self.pages_per_block) || b.retired || self.is_active(i as u32) {
+    /// the fewest valid slots). With wear leveling on, candidates within a
+    /// small valid-count slack (1/8 of a block, at least one slot) of the
+    /// policy's choice compete on effective wear instead — collecting the
+    /// least-worn of them cycles cold blocks back into service (dynamic
+    /// wear leveling).
+    pub(crate) fn pick_victim(&mut self, ssd: &Ssd) -> Option<u32> {
+        let mut candidates = std::mem::take(&mut self.victims);
+        let capacity = self.slots_per_block();
+        for i in 0..self.gbi.len() as u32 {
+            if !self.is_full(i) || self.retired[i as usize] || self.is_active(i) {
                 continue;
             }
             candidates.push(VictimCandidate {
-                index: i as u32,
-                valid: b.valid_count,
-                capacity: self.pages_per_block,
-                age: self.closed_seq_counter.saturating_sub(b.closed_seq),
+                index: i,
+                valid: self.valid_count[i as usize],
+                capacity,
+                age: self
+                    .closed_seq_counter
+                    .saturating_sub(self.closed_seq[i as usize]),
                 wear: if self.wear_leveling {
-                    self.block_pe(i as u32, ssd)
+                    self.block_pe(i, ssd)
                 } else {
                     0
                 },
             });
         }
-        select_victim(
+        let pick = select_victim(
             self.gc_policy,
             SelectOpts::standard(self.wear_leveling),
             &candidates,
-        )
+        );
+        // Keep the capacity, not the entries: a cloned pool copies none.
+        candidates.clear();
+        self.victims = candidates;
+        pick
     }
 
-    /// Collects one victim block (copy valid pages out, erase, free) if one
-    /// exists that is profitable (has an invalid page) *and* feasible (its
-    /// valid pages fit in the currently allocatable space, so copy-out
+    /// Records a `gc.collect` decision on `victim`, tagged with `cause`.
+    pub(crate) fn emit_collect(&mut self, cause: &'static str, victim: u32, issue: SimTime) {
+        let gbi = self.gbi(victim);
+        let valid = self.valid_count(victim);
+        let field = self.valid_field();
+        self.trace.emit(|| {
+            TraceEvent::new(issue.as_nanos(), "gc.collect")
+                .tag(cause)
+                .field("block", u64::from(gbi))
+                .field(field, u64::from(valid))
+        });
+    }
+
+    /// Trace field name for a victim's valid slots.
+    fn valid_field(&self) -> &'static str {
+        if self.slots_per_page == 1 {
+            "valid_pages"
+        } else {
+            "valid_sectors"
+        }
+    }
+
+    /// Collects one victim block (copy valid slots out, erase, free) if one
+    /// exists that is profitable (has an invalid slot) *and* feasible (its
+    /// valid slots fit in the currently allocatable pages, so copy-out
     /// cannot wedge). Returns `None` otherwise — the caller decides whether
     /// that means degradation or just "done for now". `cause` tags the
     /// trace event ("watermark" for foreground pressure, "background" for
     /// idle-window collection).
     fn try_collect_victim(
         &mut self,
+        reloc: &mut impl Relocate,
         ssd: &mut Ssd,
         stats: &mut FtlStats,
         issue: SimTime,
         cause: &'static str,
     ) -> Option<SimTime> {
         let victim = self.pick_victim(ssd)?;
-        let valid = self.blocks[victim as usize].valid_count;
-        if valid >= self.pages_per_block || u64::from(valid) > self.allocatable_pages() {
+        if self.valid_count(victim) >= self.slots_per_block() || !reloc.fits(self, victim) {
             return None;
         }
         stats.gc_invocations += 1;
-        let gbi = self.blocks[victim as usize].gbi;
-        self.trace.emit(|| {
-            TraceEvent::new(issue.as_nanos(), "gc.collect")
-                .tag(cause)
-                .field("block", u64::from(gbi))
-                .field("valid_pages", u64::from(valid))
-        });
-        Some(self.collect_block(victim, ssd, stats, issue))
+        self.emit_collect(cause, victim, issue);
+        Some(self.collect(reloc, victim, ssd, stats, issue))
     }
 
-    /// Static wear leveling: when the pool's effective-wear spread exceeds
-    /// `threshold`, the coldest full block — static data pinned on a
+    /// The least-worn full, non-retired, non-active block (first in pool
+    /// order among equals): where static data pins a cold block.
+    pub(crate) fn coldest_full(&self, ssd: &Ssd) -> Option<u32> {
+        (0..self.gbi.len() as u32)
+            .filter(|&i| self.is_full(i) && !self.retired[i as usize] && !self.is_active(i))
+            .min_by_key(|&i| self.block_pe(i, ssd))
+    }
+
+    /// Static wear leveling: when the effective-wear spread exceeds
+    /// `threshold` (from the pool's coldest full block up to the highest
+    /// wear in the pool or, per [`Relocate::outside_max_pe`], beyond it),
+    /// the coldest full block — static data pinned on a
     /// lightly-worn block — is relocated and erased so the block rejoins
     /// the free pool (where least-worn-first allocation puts it back to
     /// work). At most one migration per call, so callers can meter it from
     /// idle windows or maintenance ticks. No-op unless wear leveling is
     /// enabled. Returns the completion time (`issue` when nothing moved).
-    pub fn wear_rotate(
+    pub(crate) fn wear_rotate(
         &mut self,
+        reloc: &mut impl Relocate,
         ssd: &mut Ssd,
         stats: &mut FtlStats,
         issue: SimTime,
@@ -824,146 +1053,95 @@ impl FullRegionEngine {
         if !self.wear_leveling || self.exhausted || ssd.halted() {
             return issue;
         }
-        let Some((_, max_pe)) = self.wear_spread(ssd) else {
+        let Some((_, own_max)) = self.wear_spread(ssd) else {
             return issue;
         };
-        // The coldest candidate holding data (full, not retired, not open).
-        let cold = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                b.is_full(self.pages_per_block) && !b.retired && !self.is_active(*i as u32)
-            })
-            .min_by_key(|(i, _)| self.block_pe(*i as u32, ssd))
-            .map(|(i, _)| i as u32);
-        let Some(cold) = cold else { return issue };
+        let max_pe = own_max.max(reloc.outside_max_pe(ssd));
+        let Some(cold) = self.coldest_full(ssd) else {
+            return issue;
+        };
         let cold_pe = self.block_pe(cold, ssd);
         if max_pe.saturating_sub(cold_pe) <= threshold {
             return issue; // spread within bounds, or the cold data already cycles
         }
-        if u64::from(self.blocks[cold as usize].valid_count) > self.allocatable_pages() {
+        if !reloc.fits(self, cold) {
             return issue; // not enough room to relocate safely
         }
-        let gbi = self.blocks[cold as usize].gbi;
+        let valid = self.valid_count(cold);
+        let gbi = self.gbi(cold);
+        let field = self.valid_field();
         self.trace.emit(|| {
             TraceEvent::new(issue.as_nanos(), "gc.wear_rotate")
                 .tag("static_wl")
                 .field("block", u64::from(gbi))
+                .field(field, u64::from(valid))
                 .field("pe", u64::from(cold_pe))
                 .field("max_pe", u64::from(max_pe))
         });
-        let done = self.collect_block(cold, ssd, stats, issue);
+        let done = self.collect(reloc, cold, ssd, stats, issue);
         stats.wear_level_migrations += 1;
         done
     }
 
-    /// Relocates every valid page of `victim` and erases it (shared by GC
-    /// victim collection and the read-disturb patrol, which may collect
-    /// fully-valid blocks).
-    fn collect_block(
+    /// Relocates every valid slot of `victim` through `reloc`, then erases
+    /// it — unless a slot is still valid (power died, or the destination
+    /// ran out of room), in which case the victim stays as it is. Shared by
+    /// GC, the read-disturb patrol (which may collect fully-valid blocks)
+    /// and static wear rotation.
+    pub(crate) fn collect(
         &mut self,
+        reloc: &mut impl Relocate,
         victim: u32,
         ssd: &mut Ssd,
         stats: &mut FtlStats,
         issue: SimTime,
     ) -> SimTime {
-        let mut now = issue;
-        let gbi = self.blocks[victim as usize].gbi;
-        for page in 0..self.pages_per_block {
-            if !self.blocks[victim as usize].valid[page as usize] {
-                continue;
-            }
-            let addr = ssd.geometry().block_addr(gbi).page(page);
-            let read_done = ssd.read_full_into(addr, now, &mut self.slots_scratch);
-            if ssd.halted() {
-                // Power died before the relocation finished: the victim's
-                // remaining valid pages stay where they are on flash, and
-                // the in-DRAM state of this half-done GC dies with power.
-                return now;
-            }
-            // Recover the LPN from the spare area of any data slot.
-            let lpn = self
-                .slots_scratch
-                .iter()
-                .find_map(|r| r.as_ref().ok().map(|o| o.lsn / u64::from(SECTORS_PER_PAGE)))
-                .expect("valid page with no data slots");
-            debug_assert_eq!(
-                self.lookup(lpn),
-                Some(PagePtr {
-                    block: victim,
-                    page
-                }),
-                "valid bitmap and L2P out of sync"
-            );
-            let mut oobs = std::mem::take(&mut self.oobs_scratch);
-            oobs.clear();
-            oobs.extend(self.slots_scratch.iter().map(|r| r.as_ref().ok().copied()));
-            let data_sectors = oobs.iter().flatten().count() as u64;
-            now = self.program_internal(lpn, &oobs, ssd, stats, read_done);
-            self.oobs_scratch = oobs;
-            if self.lookup(lpn)
-                == Some(PagePtr {
-                    block: victim,
-                    page,
-                })
-            {
-                // Relocation could not land anywhere (absolute exhaustion):
-                // abort the collection before the erase below can destroy
-                // the only valid copy. The victim stays as it is.
-                return now;
-            }
-            stats.gc_copied_sectors += data_sectors;
-            stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
+        let now = reloc.relocate(self, victim, ssd, stats, issue);
+        if self.valid_count(victim) > 0 {
+            return now;
         }
-        let blk_addr = ssd.geometry().block_addr(gbi);
-        match ssd.erase(blk_addr, now) {
+        let addr = ssd.geometry().block_addr(self.gbi(victim));
+        let b = victim as usize;
+        let spb = self.slots_per_block() as usize;
+        self.valid[b * spb..(b + 1) * spb].fill(false);
+        self.closed_seq[b] = 0;
+        match ssd.erase(addr, now) {
             Ok(done) => {
-                now = done;
-                let blk = &mut self.blocks[victim as usize];
-                blk.programmed = 0;
-                blk.valid.fill(false);
-                blk.valid_count = 0;
-                blk.closed_seq = 0;
+                self.programmed[b] = 0;
                 self.free.push(victim);
+                reloc.after_erase(self, ssd, stats);
+                done
             }
             Err(f) if f.error == esp_nand::NandError::EraseFailed => {
                 // The block grew bad: retire it instead of freeing it. All
                 // valid data was already copied out above, so nothing is
                 // lost; the caller's loop simply picks the next victim.
-                now = f.at;
-                let blk = &mut self.blocks[victim as usize];
-                blk.retired = true;
-                blk.valid.fill(false);
-                blk.valid_count = 0;
-                blk.closed_seq = 0;
+                self.retired[b] = true;
                 self.retired_bad += 1;
                 stats.erase_failures += 1;
                 stats.blocks_retired += 1;
+                f.at
             }
             Err(f) => panic!("erase of managed block: {f}"),
         }
-        now
     }
 
     /// Retires the block with device-global index `gbi` in place (bad-block
     /// exclusion at mount or after a grown-bad discovery). The block keeps
-    /// its engine-local slot — callers such as `CgmFtl::recover` rely on
+    /// its pool-local slot — callers such as `CgmFtl::recover` rely on
     /// local index == gbi alignment — but leaves the free list and any
     /// active-block slot. Returns `false` if `gbi` is not under management
     /// or already retired.
     pub fn retire_gbi(&mut self, gbi: u32) -> bool {
-        let Some(local) = self.blocks.iter().position(|b| b.gbi == gbi) else {
+        let Some(local) = (0..self.gbi.len()).find(|&b| self.gbi[b] == gbi && !self.retired[b])
+        else {
             return false;
         };
-        if self.blocks[local].retired {
-            return false;
-        }
         assert_eq!(
-            self.blocks[local].valid_count, 0,
+            self.valid_count[local], 0,
             "cannot retire a block that still holds valid data"
         );
-        self.blocks[local].retired = true;
+        self.retired[local] = true;
         self.retired_bad += 1;
         let local = local as u32;
         if let Some(pos) = self.free.iter().position(|&f| f == local) {
@@ -977,6 +1155,38 @@ impl FullRegionEngine {
         true
     }
 
+    /// Free-list position of the most-worn free block (last among equals).
+    pub(crate) fn most_worn_free(&self, ssd: &Ssd) -> Option<usize> {
+        (0..self.free.len()).max_by_key(|&p| self.block_pe(self.free[p], ssd))
+    }
+
+    /// Free-list position of the least-worn free block (first among equals).
+    fn least_worn_free(&self, ssd: &Ssd) -> Option<usize> {
+        (0..self.free.len()).min_by_key(|&p| self.block_pe(self.free[p], ssd))
+    }
+
+    /// Device-global index of the free block at free-list position `pos`.
+    pub(crate) fn free_gbi(&self, pos: usize) -> u32 {
+        self.gbi(self.free[pos])
+    }
+
+    /// Takes the free block at free-list position `pos` out of the pool
+    /// and returns its device-global index.
+    fn release_free(&mut self, pos: usize) -> u32 {
+        let local = self.free.swap_remove(pos);
+        self.retired[local as usize] = true;
+        self.gbi(local)
+    }
+
+    /// Trades the free block at free-list position `pos` for the erased
+    /// block `gbi` from another region in one step, so the pool never
+    /// shrinks. Returns the device-global index that left.
+    pub(crate) fn exchange_free(&mut self, pos: usize, gbi: u32) -> u32 {
+        let out = self.release_free(pos);
+        self.adopt_free_block(gbi);
+        out
+    }
+
     /// Removes one erased block from the pool for cross-region wear
     /// leveling, preferring the most-worn free block. Returns its
     /// device-global index, or `None` if the pool cannot spare one.
@@ -984,15 +1194,8 @@ impl FullRegionEngine {
         if self.free.len() as u32 <= self.watermark {
             return None;
         }
-        let pick = self
-            .free
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &b)| self.block_pe(b, ssd))
-            .map(|(i, _)| i)?;
-        let local = self.free.swap_remove(pick);
-        self.blocks[local as usize].retired = true;
-        Some(self.blocks[local as usize].gbi)
+        let pos = self.most_worn_free(ssd)?;
+        Some(self.release_free(pos))
     }
 
     /// Removes the *least-worn* erased block from the pool (for handing a
@@ -1002,15 +1205,8 @@ impl FullRegionEngine {
         if self.free.len() as u32 <= self.watermark {
             return None;
         }
-        let pick = self
-            .free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &b)| self.block_pe(b, ssd))
-            .map(|(i, _)| i)?;
-        let local = self.free.swap_remove(pick);
-        self.blocks[local as usize].retired = true;
-        Some(self.blocks[local as usize].gbi)
+        let pos = self.least_worn_free(ssd)?;
+        Some(self.release_free(pos))
     }
 
     /// Atomically trades an erased, over-worn block from another region for
@@ -1022,24 +1218,15 @@ impl FullRegionEngine {
     /// when the pool is empty or the wear gain would be below `min_gain`
     /// effective cycles.
     pub fn swap_free_block(&mut self, worn_gbi: u32, min_gain: u32, ssd: &Ssd) -> Option<u32> {
-        let pick = self
-            .free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &b)| self.block_pe(b, ssd))
-            .map(|(i, _)| i)?;
-        let cold_pe = self.block_pe(self.free[pick], ssd);
+        let pos = self.least_worn_free(ssd)?;
+        let cold_pe = self.block_pe(self.free[pos], ssd);
         let worn_pe = ssd
             .device()
             .effective_pe(ssd.geometry().block_addr(worn_gbi));
         if worn_pe <= cold_pe.saturating_add(min_gain) {
             return None;
         }
-        let local = self.free.swap_remove(pick);
-        self.blocks[local as usize].retired = true;
-        let fresh = self.blocks[local as usize].gbi;
-        self.adopt_free_block(worn_gbi);
-        Some(fresh)
+        Some(self.exchange_free(pos, worn_gbi))
     }
 
     /// Effective P/E cycles of the least-worn free block, if any can be
@@ -1054,87 +1241,172 @@ impl FullRegionEngine {
 
     /// Adds an erased block (received from another region) to the pool.
     pub fn adopt_free_block(&mut self, gbi: u32) {
-        let local = self.blocks.len() as u32;
-        self.blocks.push(FullBlock::new(
-            gbi,
-            self.blocks_per_chip,
-            self.pages_per_block,
-        ));
+        let local = self.gbi.len() as u32;
+        self.gbi.push(gbi);
+        self.chip.push(gbi / self.blocks_per_chip);
+        self.programmed.push(0);
+        self.valid_count.push(0);
+        self.closed_seq.push(0);
+        self.retired.push(false);
+        let spb = self.slots_per_block() as usize;
+        self.valid.resize(self.valid.len() + spb, false);
         self.free.push(local);
     }
 
-    /// Rebuilds mapping and allocation state from a post-crash scan:
+    /// Rebuilds allocation state and the dense map from a post-crash scan:
     /// `programmed[b]` is the number of programmed pages in local block `b`
-    /// and `mappings` the winning `(lpn, block, page)` triples. The free
-    /// list is recomputed; no block is left active.
+    /// and `mappings` the winning `(key, block, slot)` triples, `slot`
+    /// counting slots from the start of the block (the page, for a page
+    /// pool). The free list is recomputed; one partially programmed block
+    /// per chip resumes as active.
     ///
     /// # Panics
     ///
     /// Panics if a mapping points outside the pool or two mappings claim
-    /// the same logical page.
+    /// the same key.
     pub(crate) fn restore_state(&mut self, programmed: &[u32], mappings: &[(u64, u32, u32)]) {
-        assert_eq!(programmed.len(), self.blocks.len(), "scan shape mismatch");
+        assert_eq!(programmed.len(), self.gbi.len(), "scan shape mismatch");
+        self.valid.fill(false);
+        self.valid_count.fill(0);
+        // Recovered blocks carry stamp 0: maximally old to the age-aware
+        // policies, the safe direction after a crash.
+        self.closed_seq.fill(0);
         for (b, &p) in programmed.iter().enumerate() {
             assert!(p <= self.pages_per_block);
-            self.blocks[b].programmed = p;
-            self.blocks[b].valid.fill(false);
-            self.blocks[b].valid_count = 0;
-            // Recovered blocks carry stamp 0: maximally old to the
-            // age-aware policies, the safe direction after a crash.
-            self.blocks[b].closed_seq = 0;
+            self.programmed[b] = p;
         }
-        for l in &mut self.l2p {
-            *l = NO_PTR;
-        }
-        for &(lpn, block, page) in mappings {
+        self.map.fill(NO_PTR);
+        for &(key, block, slot) in mappings {
             assert!(
-                self.l2p[lpn as usize] == NO_PTR,
-                "two recovered copies mapped for lpn {lpn}"
+                self.map[key as usize] == NO_PTR,
+                "two recovered copies mapped for key {key}"
             );
-            self.l2p[lpn as usize] = block * self.pages_per_block + page;
-            let blk = &mut self.blocks[block as usize];
-            assert!(page < blk.programmed, "mapping into unprogrammed page");
-            blk.valid[page as usize] = true;
-            blk.valid_count += 1;
+            assert!(
+                slot / self.slots_per_page < self.programmed[block as usize],
+                "mapping into unprogrammed page"
+            );
+            self.map_slot(key, block * self.slots_per_block() + slot);
         }
-        self.free = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.retired && b.programmed == 0)
-            .map(|(i, _)| i as u32)
+        self.free = (0..self.gbi.len() as u32)
+            .filter(|&b| !self.retired[b as usize] && self.programmed[b as usize] == 0)
             .collect();
         // Partially programmed blocks were the per-chip active blocks at
         // the crash: resume one per chip; close any extras (their unwritten
         // tail is wasted until GC reclaims the block, the standard
         // "close the open block" recovery rule).
-        for a in &mut self.actives {
-            *a = None;
-        }
-        for i in 0..self.blocks.len() {
-            let b = &self.blocks[i];
-            if b.retired || b.programmed == 0 || b.programmed >= self.pages_per_block {
+        self.actives.fill(None);
+        for i in 0..self.gbi.len() {
+            let p = self.programmed[i];
+            if self.retired[i] || p == 0 || p >= self.pages_per_block {
                 continue;
             }
-            let chip = self.chip_of(i as u32);
+            let chip = self.chip[i] as usize;
             if self.actives[chip].is_none() {
                 self.actives[chip] = Some(i as u32);
             } else {
-                self.blocks[i].programmed = self.pages_per_block;
+                self.programmed[i] = self.pages_per_block;
             }
         }
     }
 
-    /// Bytes of L2P mapping state (the coarse page map).
-    #[must_use]
-    pub fn mapping_bytes(&self) -> u64 {
-        (self.l2p.len() * std::mem::size_of::<u32>()) as u64
+    /// Rebuilds the pool from a mount scan of its blocks, given in
+    /// pool-local order: every key maps to the copy holding its newest
+    /// readable sector — the page for a page pool (keyed by LPN), the
+    /// subpage for a subpage pool (keyed by LSN). Copies of keys beyond the
+    /// map are ignored. Returns the highest write sequence number seen.
+    pub(crate) fn restore_from_scan<'a>(
+        &mut self,
+        scans: impl IntoIterator<Item = &'a BlockScan>,
+    ) -> u64 {
+        let sectors_per_key = u64::from(SECTORS_PER_PAGE / self.slots_per_page);
+        // key -> (seq, block, slot counted from the start of the block).
+        let mut best: Vec<Option<(u64, u32, u32)>> = vec![None; self.map.len()];
+        let mut programmed = Vec::with_capacity(self.gbi.len());
+        let mut max_seq = 0u64;
+        for (b, scan) in scans.into_iter().enumerate() {
+            programmed.push(scan.programmed_pages());
+            for (p, page) in scan.pages.iter().enumerate() {
+                for live in &page.live {
+                    max_seq = max_seq.max(live.seq);
+                    let Some(entry) = best.get_mut((live.lsn / sectors_per_key) as usize) else {
+                        continue;
+                    };
+                    if entry.is_none_or(|(seq, ..)| live.seq > seq) {
+                        let slot = u32::from(live.slot) % self.slots_per_page;
+                        *entry = Some((live.seq, b as u32, p as u32 * self.slots_per_page + slot));
+                    }
+                }
+            }
+        }
+        let mappings: Vec<(u64, u32, u32)> = best
+            .iter()
+            .enumerate()
+            .filter_map(|(key, e)| e.map(|(_, b, slot)| (key as u64, b, slot)))
+            .collect();
+        self.restore_state(&programmed, &mappings);
+        max_seq
     }
 
-    /// Sum of valid pages across the pool (for tests and reporting).
+    /// Bytes of dense map state.
     #[must_use]
-    pub fn valid_pages(&self) -> u64 {
-        self.blocks.iter().map(|b| u64::from(b.valid_count)).sum()
+    pub fn mapping_bytes(&self) -> u64 {
+        (self.map.len() * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// Sum of valid slots across the pool (for tests and reporting).
+    #[must_use]
+    pub fn valid_slots(&self) -> u64 {
+        self.valid_count.iter().map(|&c| u64::from(c)).sum()
+    }
+
+    /// Asserts the pool's structural invariants; panics on violation.
+    /// `sparse` lists the slot pointers of an owner-kept map, for pools
+    /// whose map is not the dense one.
+    ///
+    /// * every block's valid count equals its set validity slots, and no
+    ///   block is programmed past its last page;
+    /// * the free, active and retired sets are disjoint;
+    /// * every mapped pointer hits a valid slot, and the number of valid
+    ///   slots equals the number of mapped entries.
+    pub fn check_invariants(&self, sparse: impl IntoIterator<Item = u32>) {
+        let spb = self.slots_per_block() as usize;
+        let mut valid_total = 0u64;
+        for b in 0..self.gbi.len() {
+            let set = self.valid[b * spb..(b + 1) * spb]
+                .iter()
+                .filter(|&&v| v)
+                .count() as u32;
+            assert_eq!(
+                set, self.valid_count[b],
+                "block {b}: valid count disagrees with its validity slots"
+            );
+            assert!(
+                self.programmed[b] <= self.pages_per_block,
+                "block {b} programmed past its last page"
+            );
+            valid_total += u64::from(set);
+        }
+        let mut seen = vec![false; self.gbi.len()];
+        for &b in self.free.iter().chain(self.actives.iter().flatten()) {
+            assert!(!self.retired[b as usize], "retired block {b} is in service");
+            assert!(
+                !seen[b as usize],
+                "block {b} is listed twice in free/active"
+            );
+            seen[b as usize] = true;
+        }
+        let mut mapped = 0u64;
+        for ptr in self
+            .map
+            .iter()
+            .copied()
+            .filter(|&p| p != NO_PTR)
+            .chain(sparse)
+        {
+            assert!(self.valid[ptr as usize], "mapped slot {ptr} is not valid");
+            mapped += 1;
+        }
+        assert_eq!(mapped, valid_total, "valid slots disagree with the map");
     }
 }
 
@@ -1143,11 +1415,11 @@ mod tests {
     use super::*;
     use esp_nand::Geometry;
 
-    fn setup() -> (Ssd, FullRegionEngine, FtlStats) {
+    fn setup() -> (Ssd, BlockPool, FtlStats) {
         let g = Geometry::tiny(); // 16 blocks of 4 pages
         let ssd = Ssd::new(g.clone());
         // Use all 16 blocks, logical space of 32 lpns (half of physical).
-        let engine = FullRegionEngine::new(
+        let engine = BlockPool::new(
             (0..16).collect(),
             g.pages_per_block,
             g.blocks_per_chip,
@@ -1176,7 +1448,7 @@ mod tests {
         eng.program_page(5, &full_oobs(5), &mut ssd, &mut stats, SimTime::ZERO);
         let second = eng.lookup(5).unwrap();
         assert_ne!(first, second);
-        assert_eq!(eng.valid_pages(), 1, "old copy must be invalid");
+        assert_eq!(eng.valid_slots(), 1, "old copy must be invalid");
         assert_eq!(stats.flash_sectors_consumed, 8);
     }
 
@@ -1202,7 +1474,8 @@ mod tests {
             }
         }
         assert!(stats.gc_invocations > 0, "GC must have run");
-        assert_eq!(eng.valid_pages(), 32, "exactly one valid copy per lpn");
+        assert_eq!(eng.valid_slots(), 32, "exactly one valid copy per lpn");
+        eng.check_invariants([]);
         // Every lpn still readable with correct content.
         for lpn in 0..32 {
             let ptr = eng.lookup(lpn).unwrap();
@@ -1251,13 +1524,13 @@ mod tests {
     fn unmap_releases_validity() {
         let (mut ssd, mut eng, mut stats) = setup();
         eng.program_page(1, &full_oobs(1), &mut ssd, &mut stats, SimTime::ZERO);
-        assert_eq!(eng.valid_pages(), 1);
+        assert_eq!(eng.valid_slots(), 1);
         eng.unmap(1);
-        assert_eq!(eng.valid_pages(), 0);
+        assert_eq!(eng.valid_slots(), 0);
         assert_eq!(eng.lookup(1), None);
         // Double unmap is a no-op.
         eng.unmap(1);
-        assert_eq!(eng.valid_pages(), 0);
+        assert_eq!(eng.valid_slots(), 0);
     }
 
     #[test]
@@ -1277,8 +1550,7 @@ mod tests {
     fn donation_refuses_below_watermark() {
         let g = Geometry::tiny();
         let ssd = Ssd::new(g.clone());
-        let mut eng =
-            FullRegionEngine::new(vec![0, 1, 2], g.pages_per_block, g.blocks_per_chip, 4, 2);
+        let mut eng = BlockPool::new(vec![0, 1, 2], g.pages_per_block, g.blocks_per_chip, 4, 2);
         // 3 free blocks, watermark 2: can donate exactly one.
         assert!(eng.donate_free_block(&ssd).is_some());
         assert!(eng.donate_free_block(&ssd).is_none());
@@ -1327,9 +1599,9 @@ mod tests {
             })
             .collect();
         let mut restored =
-            FullRegionEngine::new((0..16).collect(), 4, ssd.geometry().blocks_per_chip, 32, 2);
+            BlockPool::new((0..16).collect(), 4, ssd.geometry().blocks_per_chip, 32, 2);
         restored.restore_state(&programmed, &mappings);
-        assert_eq!(restored.valid_pages(), 8);
+        assert_eq!(restored.valid_slots(), 8);
         for lpn in 0..8 {
             assert_eq!(restored.lookup(lpn), eng.lookup(lpn));
         }
@@ -1359,7 +1631,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let mut eng = FullRegionEngine::new((0..4).collect(), 4, 4, 8, 2);
+        let mut eng = BlockPool::new((0..4).collect(), 4, 4, 8, 2);
         eng.restore_state(&[2, 1, 0, 0], &[]);
         assert_eq!(eng.free_blocks(), 2);
         // One of the two partials was closed: it is a GC candidate once a
@@ -1377,8 +1649,7 @@ mod tests {
         for _ in 0..5 {
             ssd.erase(g.block_addr(0), SimTime::ZERO).unwrap();
         }
-        let mut eng =
-            FullRegionEngine::new(vec![0, 1, 2, 3], g.pages_per_block, g.blocks_per_chip, 4, 2);
+        let mut eng = BlockPool::new(vec![0, 1, 2, 3], g.pages_per_block, g.blocks_per_chip, 4, 2);
         let donated = eng.donate_coldest_free_block(&ssd).unwrap();
         assert_ne!(donated, 0, "coldest donation must avoid the worn block");
         assert_eq!(eng.coldest_free_pe(&ssd), Some(0));
@@ -1395,7 +1666,7 @@ mod tests {
         });
         // Failed attempts burn pages, so keep utilization low enough that
         // GC always nets space even when copies retry.
-        let mut eng = FullRegionEngine::new(
+        let mut eng = BlockPool::new(
             (0..16).collect(),
             g.pages_per_block,
             g.blocks_per_chip,
@@ -1412,7 +1683,7 @@ mod tests {
         }
         assert!(stats.write_retries > 0, "p=0.2 must force retries");
         assert_eq!(stats.program_failures, stats.write_retries);
-        assert_eq!(eng.valid_pages(), 16);
+        assert_eq!(eng.valid_slots(), 16);
         // Every lpn readable with correct content despite the failures.
         for lpn in 0..16 {
             let ptr = eng.lookup(lpn).unwrap();
@@ -1433,7 +1704,7 @@ mod tests {
         });
         // Small logical space (4 blocks of data over 16 physical) so GC can
         // afford to lose several blocks to grown-bad retirement.
-        let mut eng = FullRegionEngine::new(
+        let mut eng = BlockPool::new(
             (0..16).collect(),
             g.pages_per_block,
             g.blocks_per_chip,
@@ -1456,7 +1727,8 @@ mod tests {
             stats.blocks_retired,
             "every retirement corresponds to a grown bad block"
         );
-        assert_eq!(eng.valid_pages(), 16);
+        assert_eq!(eng.valid_slots(), 16);
+        eng.check_invariants([]);
         for lpn in 0..16 {
             let ptr = eng.lookup(lpn).unwrap();
             let addr = eng.page_addr(ptr, &ssd);
@@ -1479,7 +1751,7 @@ mod tests {
         // Local slot preserved: block 8 still maps to gbi 8.
         eng.program_page(0, &full_oobs(0), &mut ssd, &mut stats, SimTime::ZERO);
         let ptr = eng.lookup(0).unwrap();
-        assert_eq!(eng.blocks[ptr.block as usize].gbi, ptr.block);
+        assert_eq!(eng.gbi(ptr.block), ptr.block);
         // The engine never writes into the retired block.
         for lpn in 0..32 {
             eng.program_page(lpn, &full_oobs(lpn), &mut ssd, &mut stats, SimTime::ZERO);
@@ -1501,7 +1773,7 @@ mod tests {
         assert_ne!(before, after, "reclaim must relocate the page");
         assert!(done > SimTime::ZERO, "reclaim charges read + program time");
         assert_eq!(stats.read_reclaims, 1);
-        assert_eq!(eng.valid_pages(), 1, "old copy invalidated");
+        assert_eq!(eng.valid_slots(), 1, "old copy invalidated");
         let (slots, _) = ssd.read_full(eng.page_addr(after, &ssd), done);
         assert_eq!(slots[0].as_ref().unwrap().lsn, 12);
         // Unmapped lpns are a no-op.
@@ -1515,7 +1787,7 @@ mod tests {
         let (mut ssd, mut eng, mut stats) = setup();
         eng.program_page(7, &full_oobs(7), &mut ssd, &mut stats, SimTime::ZERO);
         let ptr = eng.lookup(7).unwrap();
-        let old_gbi = eng.blocks[ptr.block as usize].gbi;
+        let old_gbi = eng.gbi(ptr.block);
         let addr = eng.page_addr(ptr, &ssd);
         // Hammer the page until the block accumulates 50 senses.
         for _ in 0..50 {
@@ -1523,17 +1795,17 @@ mod tests {
         }
         let old_block = ssd.geometry().block_addr(old_gbi);
         assert_eq!(ssd.device().reads_since_erase(old_block), 50);
-        eng.scrub_disturbed(&mut ssd, &mut stats, 50, SimTime::ZERO);
+        eng.scrub_disturbed(&mut PageCopy, &mut ssd, &mut stats, 50, SimTime::ZERO);
         assert_eq!(stats.disturb_scrubs, 1);
         // The block was erased (sense counter discharged) and the data
         // lives elsewhere, still readable.
         assert_eq!(ssd.device().reads_since_erase(old_block), 0);
         let after = eng.lookup(7).unwrap();
-        assert_ne!(eng.blocks[after.block as usize].gbi, old_gbi);
+        assert_ne!(eng.gbi(after.block), old_gbi);
         let (slots, _) = ssd.read_full(eng.page_addr(after, &ssd), SimTime::ZERO);
         assert_eq!(slots[0].as_ref().unwrap().lsn, 28);
         // A second sweep finds nothing above the limit.
-        eng.scrub_disturbed(&mut ssd, &mut stats, 50, SimTime::ZERO);
+        eng.scrub_disturbed(&mut PageCopy, &mut ssd, &mut stats, 50, SimTime::ZERO);
         assert_eq!(stats.disturb_scrubs, 1);
     }
 
@@ -1541,9 +1813,9 @@ mod tests {
     /// pages of block `b` (0 = left free), for tests that need exact
     /// per-block valid counts. Blocks with any valid pages are physically
     /// programmed full (pages past the valid prefix are stale data).
-    fn staged(ssd: &mut Ssd, mapped: &[u32]) -> FullRegionEngine {
+    fn staged(ssd: &mut Ssd, mapped: &[u32]) -> BlockPool {
         let g = ssd.geometry().clone();
-        let mut eng = FullRegionEngine::new(
+        let mut eng = BlockPool::new(
             (0..8).collect(),
             g.pages_per_block,
             g.blocks_per_chip,
@@ -1625,14 +1897,14 @@ mod tests {
         let mut eng = staged(&mut ssd, &[4, 0, 0, 0, 0, 0, 0, 0]);
         let mut stats = FtlStats::new();
         // Off (default): never moves anything.
-        let t = eng.wear_rotate(&mut ssd, &mut stats, SimTime::ZERO, 20);
+        let t = eng.wear_rotate(&mut PageCopy, &mut ssd, &mut stats, SimTime::ZERO, 20);
         assert_eq!(t, SimTime::ZERO);
         assert_eq!(stats.wear_level_migrations, 0);
         eng.set_wear_leveling(true);
         // Spread (25) exceeds the threshold: the cold block is relocated,
         // erased, and freed.
         let free_before = eng.free_blocks();
-        let done = eng.wear_rotate(&mut ssd, &mut stats, SimTime::ZERO, 20);
+        let done = eng.wear_rotate(&mut PageCopy, &mut ssd, &mut stats, SimTime::ZERO, 20);
         assert!(done > SimTime::ZERO);
         assert_eq!(stats.wear_level_migrations, 1);
         assert_eq!(ssd.device().pe_cycles(ssd.geometry().block_addr(0)), 1);
@@ -1648,7 +1920,7 @@ mod tests {
             assert_eq!(slots[0].as_ref().unwrap().lsn, lpn * 4);
         }
         // Spread now within threshold: second call is a no-op.
-        let again = eng.wear_rotate(&mut ssd, &mut stats, done, 20);
+        let again = eng.wear_rotate(&mut PageCopy, &mut ssd, &mut stats, done, 20);
         assert_eq!(again, done);
         assert_eq!(stats.wear_level_migrations, 1);
     }
@@ -1665,7 +1937,7 @@ mod tests {
             erase_fail_prob: 0.95,
             ..esp_nand::FaultConfig::default()
         });
-        let mut eng = FullRegionEngine::new(
+        let mut eng = BlockPool::new(
             (0..16).collect(),
             g.pages_per_block,
             g.blocks_per_chip,
@@ -1711,6 +1983,7 @@ mod tests {
             }
         }
         assert!(readable > 0, "some data survives to the read-only phase");
+        eng.check_invariants([]);
     }
 
     #[test]
@@ -1720,5 +1993,56 @@ mod tests {
         let mut oobs = full_oobs(3);
         oobs[0] = Some(Oob { lsn: 999, seq: 0 });
         eng.program_page(3, &oobs, &mut ssd, &mut stats, SimTime::ZERO);
+    }
+    #[test]
+    fn subpage_slots_track_validity_per_sector() {
+        let g = Geometry::tiny();
+        let mut ssd = Ssd::new(g.clone());
+        let mut stats = FtlStats::new();
+        // 4 slots per page, a dense map over 64 sectors.
+        let mut pool = BlockPool::with_slots((0..16).collect(), 4, 4, g.blocks_per_chip, 64, 2);
+        let oobs: Vec<Option<Oob>> = (0..4)
+            .map(|s| {
+                Some(Oob {
+                    lsn: 10 + s,
+                    seq: 1,
+                })
+            })
+            .collect();
+        let (b, p, _) = pool
+            .program(&oobs, &mut ssd, &mut stats, SimTime::ZERO)
+            .unwrap();
+        for s in 0..4u32 {
+            pool.map_slot(10 + u64::from(s), pool.pack(b, p, s));
+        }
+        assert_eq!(pool.valid_count(b), 4);
+        // Rewriting one sector elsewhere leaves three valid slots behind.
+        let one = [Some(Oob { lsn: 11, seq: 2 }), None, None, None];
+        let (b2, p2, _) = pool
+            .program(&one, &mut ssd, &mut stats, SimTime::ZERO)
+            .unwrap();
+        pool.map_slot(11, pool.pack(b2, p2, 0));
+        assert_ne!((b2, p2), (b, p));
+        assert_eq!(pool.valid_slots(), 4);
+        assert!(!pool.is_valid(pool.pack(b, p, 1)));
+        assert_eq!(pool.unpack(pool.mapped(11).unwrap()), (b2, p2, 0));
+        pool.check_invariants([]);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid count disagrees")]
+    fn check_invariants_catches_a_stale_count() {
+        let (mut ssd, mut eng, mut stats) = setup();
+        eng.program_page(1, &full_oobs(1), &mut ssd, &mut stats, SimTime::ZERO);
+        let b = eng.lookup(1).unwrap().block;
+        eng.valid_count[b as usize] += 1;
+        eng.check_invariants([]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not valid")]
+    fn check_invariants_catches_a_dangling_sparse_pointer() {
+        let (_, eng, _) = setup();
+        eng.check_invariants([3]);
     }
 }

@@ -11,9 +11,9 @@ use esp_sim::{merge_events, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::{BlockPool, PageCopy};
 use crate::buffer::{FlushChunk, WriteBuffer};
 use crate::config::FtlConfig;
-use crate::full_region::FullRegionEngine;
 use crate::map_cache::{MapCache, MapCacheStats};
 use crate::read_path::{read_sectors_coarse, ReadReliability};
 use crate::runner::Ftl;
@@ -36,7 +36,7 @@ use crate::stats::FtlStats;
 #[derive(Debug, Clone)]
 pub struct CgmFtl {
     ssd: Ssd,
-    engine: FullRegionEngine,
+    engine: BlockPool,
     buffer: WriteBuffer,
     stats: FtlStats,
     seq: u64,
@@ -96,7 +96,7 @@ impl CgmFtl {
         let logical_sectors = config.logical_sectors();
         let lpn_count = logical_sectors / u64::from(SECTORS_PER_PAGE);
         let all_blocks: Vec<u32> = (0..config.geometry.block_count()).collect();
-        let mut engine = FullRegionEngine::new(
+        let mut engine = BlockPool::new(
             all_blocks,
             config.geometry.pages_per_block,
             config.geometry.blocks_per_chip,
@@ -163,38 +163,10 @@ impl CgmFtl {
             "recovery config geometry mismatch"
         );
         let scan = crate::recovery::scan_device(&mut ssd);
-        let scans = scan.blocks;
         let mut ftl = Self::with_ssd(config, ssd);
         ftl.stats.torn_pages_quarantined = scan.torn_pages;
-        let page_sz = u64::from(SECTORS_PER_PAGE);
-        let lpn_count = (ftl.logical_sectors / page_sz) as usize;
-        // lpn -> (seq, local block, page); engine-local index == gbi here.
-        let mut best: Vec<Option<(u64, u32, u32)>> = vec![None; lpn_count];
-        let mut programmed = vec![0u32; scans.len()];
-        let mut max_seq = 0u64;
-        for (b, scan) in scans.iter().enumerate() {
-            programmed[b] = scan.programmed_pages();
-            for (p, page) in scan.pages.iter().enumerate() {
-                let Some(newest) = page.live.iter().max_by_key(|s| s.seq) else {
-                    continue;
-                };
-                max_seq = max_seq.max(newest.seq);
-                let lpn = (newest.lsn / page_sz) as usize;
-                if lpn >= lpn_count {
-                    continue; // data beyond the (shrunk) logical space
-                }
-                if best[lpn].is_none_or(|(seq, _, _)| newest.seq > seq) {
-                    best[lpn] = Some((newest.seq, b as u32, p as u32));
-                }
-            }
-        }
-        let mappings: Vec<(u64, u32, u32)> = best
-            .iter()
-            .enumerate()
-            .filter_map(|(lpn, e)| e.map(|(_, b, p)| (lpn as u64, b, p)))
-            .collect();
-        ftl.engine.restore_state(&programmed, &mappings);
-        ftl.seq = max_seq;
+        // Pool-local index == gbi here, so the scan is already in order.
+        ftl.seq = ftl.engine.restore_from_scan(&scan.blocks);
         ftl
     }
 
@@ -203,9 +175,17 @@ impl CgmFtl {
     }
 
     /// Allocation-state digest for the crash harness's idempotence check
-    /// (see [`FullRegionEngine::pool_fingerprint`]).
+    /// (see `BlockPool::pool_fingerprint`).
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
         self.engine.pool_fingerprint()
+    }
+
+    /// Asserts the block pool's structural invariants (see
+    /// [`BlockPool::check_invariants`]). Intended for tests; panics on
+    /// violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.engine.check_invariants([]);
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -403,8 +383,13 @@ impl Ftl for CgmFtl {
         let reads = self.ssd.device().stats().reads;
         if self.reliability.patrol_due(reads) {
             if let Some(limit) = self.reliability.scrub_limit() {
-                self.engine
-                    .scrub_disturbed(&mut self.ssd, &mut self.stats, limit, now);
+                self.engine.scrub_disturbed(
+                    &mut PageCopy,
+                    &mut self.ssd,
+                    &mut self.stats,
+                    limit,
+                    now,
+                );
             }
         }
         // Static wear leveling rides the maintenance tick (the idle hook
@@ -415,8 +400,13 @@ impl Ftl for CgmFtl {
             let erases = self.ssd.device().stats().erases;
             if erases >= self.next_wear_check {
                 self.next_wear_check = erases + 16;
-                self.engine
-                    .wear_rotate(&mut self.ssd, &mut self.stats, now, self.wear_delta);
+                self.engine.wear_rotate(
+                    &mut PageCopy,
+                    &mut self.ssd,
+                    &mut self.stats,
+                    now,
+                    self.wear_delta,
+                );
             }
         }
     }
@@ -437,8 +427,14 @@ impl Ftl for CgmFtl {
             return;
         }
         let target = self.engine.watermark() + 2;
-        self.engine
-            .background_collect(&mut self.ssd, &mut self.stats, from, until, target);
+        self.engine.background_collect(
+            &mut PageCopy,
+            &mut self.ssd,
+            &mut self.stats,
+            from,
+            until,
+            target,
+        );
     }
 
     fn stored_seq(&self, lsn: u64) -> Option<u64> {

@@ -6,56 +6,23 @@
 //! flushed immediately: a 4 KB fsync consumes a whole 16 KB physical page
 //! (one data subpage plus three padding subpages — *internal fragmentation*)
 //! and garbage collection degrades toward the CGM level as `r_synch` grows.
+//!
+//! Space management is a [`BlockPool`] with subpage slots: the pool's dense
+//! map is the LSN → subpage map, and GC relocation repacks surviving
+//! sectors `N_sub` to a page.
 
 use esp_nand::Oob;
-use esp_sim::{merge_events, EventBuffer, EventSink, SimTime, TraceEvent};
+use esp_sim::{merge_events, EventSink, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::{BlockPool, Relocate};
 use crate::buffer::{FlushChunk, WriteBuffer};
 use crate::config::FtlConfig;
-use crate::gc_policy::{select_victim, GcPolicyKind, SelectOpts, VictimCandidate};
 use crate::map_cache::{MapCache, MapCacheStats};
 use crate::read_path::{note_read_result, ReadReliability};
 use crate::runner::Ftl;
 use crate::stats::FtlStats;
-
-const NO_PTR: u32 = u32::MAX;
-
-/// GC never shrinks the free watermark below this floor: one free block is
-/// the minimum needed to keep copy-out possible at all.
-const WATERMARK_FLOOR: u32 = 1;
-
-#[derive(Debug, Clone)]
-struct FgmBlock {
-    gbi: u32,
-    /// Chip holding this block (`gbi / blocks_per_chip`), precomputed so
-    /// hot paths like GC victim scans avoid a division per lookup.
-    chip: u32,
-    /// Validity per subpage (pages × N_sub entries).
-    valid: Vec<bool>,
-    valid_count: u32,
-    programmed_pages: u32,
-    /// Bad block (factory-marked or grown): never allocated again.
-    retired: bool,
-    /// Monotone close stamp (0 = recovered/erased: maximally old to the
-    /// age-aware GC policies).
-    closed_seq: u64,
-}
-
-impl FgmBlock {
-    fn new(gbi: u32, blocks_per_chip: u32, pages: u32, nsub: u32) -> Self {
-        FgmBlock {
-            gbi,
-            chip: gbi / blocks_per_chip,
-            valid: vec![false; (pages * nsub) as usize],
-            valid_count: 0,
-            programmed_pages: 0,
-            retired: false,
-            closed_seq: 0,
-        }
-    }
-}
 
 /// The FGM-scheme FTL baseline.
 ///
@@ -73,45 +40,26 @@ impl FgmBlock {
 #[derive(Debug, Clone)]
 pub struct FgmFtl {
     ssd: Ssd,
-    blocks: Vec<FgmBlock>,
-    free: Vec<u32>,
-    /// One active (open) block per chip, so programs stripe across chips.
-    actives: Vec<Option<u32>>,
-    rr: usize,
-    /// LSN → packed subpage pointer (`block * pages * nsub + page * nsub +
-    /// slot`), `NO_PTR` for unmapped.
-    l2p: Vec<u32>,
+    /// Subpage-slot pool over every block of the device (local index ==
+    /// gbi); its dense map is the LSN → subpage map.
+    pool: BlockPool,
     buffer: WriteBuffer,
     stats: FtlStats,
     seq: u64,
     logical_sectors: u64,
-    pages_per_block: u32,
     nsub: u32,
-    watermark: u32,
     background_gc: bool,
-    /// GC victim-selection policy (greedy by default).
-    gc_policy: GcPolicyKind,
-    /// Next close stamp (starts at 1; see [`FgmBlock::closed_seq`]).
-    closed_seq_counter: u64,
     /// DFTL-style demand-cached mapping tier; `None` keeps the full map
     /// resident (the default, bit-identical to pre-cache builds).
     map_cache: Option<MapCache>,
-    /// Wear-delta bias in GC victim selection plus cold-block rotation
-    /// (off by default for bit-identity with the seed).
-    wear_leveling: bool,
     /// Max−min effective-P/E spread that triggers a cold-block rotation.
     wear_delta: u32,
     /// Device erase count at which the next wear-spread check runs (the
     /// spread only changes on erases, so checks are metered by them).
     next_wear_check: u64,
-    /// Latched when GC can no longer net free space even at the watermark
-    /// floor: the drive is at end of life and writes degrade gracefully.
-    exhausted: bool,
     reliability: ReadReliability,
-    /// GC/scrub/reclaim event recorder; disabled (free) by default.
-    trace: EventBuffer,
-    /// Reused OOB staging for [`FgmFtl::program_group`] (always `nsub`
-    /// entries), so the steady-state program path allocates nothing.
+    /// Reused OOB staging for [`program_group`] (always `nsub` entries), so
+    /// the steady-state program path allocates nothing.
     oob_scratch: Vec<Option<Oob>>,
     /// Reused `(block, page, lsn, slot)` grouping scratch for
     /// [`Ftl::read`].
@@ -121,6 +69,96 @@ pub struct FgmFtl {
     slots_scratch: Vec<Result<Oob, esp_nand::ReadFault>>,
     chunks_scratch: Vec<FlushChunk>,
     group_scratch: Vec<(u64, u64)>,
+    /// Reused `(lsn, seq)` survivor list of a GC victim.
+    survivors: Vec<(u64, u64)>,
+}
+
+/// fgmFTL's relocation: a victim's surviving sectors are gathered and
+/// repacked `N_sub` to a page. GC stops for good once the pool latches
+/// exhaustion.
+struct Repack<'a> {
+    slots: &'a mut Vec<Result<Oob, esp_nand::ReadFault>>,
+    oobs: &'a mut Vec<Option<Oob>>,
+    survivors: &'a mut Vec<(u64, u64)>,
+}
+
+impl Relocate for Repack<'_> {
+    fn relocate(
+        &mut self,
+        pool: &mut BlockPool,
+        victim: u32,
+        ssd: &mut Ssd,
+        stats: &mut FtlStats,
+        issue: SimTime,
+    ) -> SimTime {
+        let mut now = issue;
+        self.survivors.clear();
+        for page in 0..pool.pages_per_block() {
+            if !pool.page_has_valid(victim, page) {
+                continue;
+            }
+            let addr = pool.page_of(victim, page, ssd);
+            now = ssd.read_full_into(addr, now, self.slots);
+            if ssd.halted() {
+                // Power died mid-GC: the victim's remaining valid sectors
+                // stay on flash; this half-done collection dies with DRAM.
+                return now;
+            }
+            for (slot, r) in self.slots.iter().enumerate() {
+                let ptr = pool.pack(victim, page, slot as u32);
+                if pool.is_valid(ptr) {
+                    let oob = r.as_ref().expect("valid subpage must be readable");
+                    debug_assert_eq!(
+                        pool.mapped(oob.lsn),
+                        Some(ptr),
+                        "validity bitmap out of sync with l2p"
+                    );
+                    self.survivors.push((oob.lsn, oob.seq));
+                }
+            }
+        }
+        let nsub = ssd.geometry().subpages_per_page as usize;
+        for group in self.survivors.chunks(nsub) {
+            now = program_group(pool, ssd, stats, self.oobs, group, now);
+            stats.gc_copied_sectors += group.len() as u64;
+            stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
+        }
+        now
+    }
+
+    fn gc_when_exhausted(&self) -> bool {
+        false
+    }
+}
+
+/// Programs up to `N_sub` `(lsn, seq)` sectors into one physical page,
+/// mapping each. Returns the completion time. When power is off or space
+/// is exhausted (end of life) the program is dropped: any sector that was
+/// already mapped keeps its old copy, so reads stay well-formed.
+fn program_group(
+    pool: &mut BlockPool,
+    ssd: &mut Ssd,
+    stats: &mut FtlStats,
+    oobs: &mut Vec<Option<Oob>>,
+    group: &[(u64, u64)],
+    issue: SimTime,
+) -> SimTime {
+    let nsub = ssd.geometry().subpages_per_page as usize;
+    debug_assert!(!group.is_empty() && group.len() <= nsub);
+    oobs.clear();
+    oobs.resize(nsub, None);
+    for (slot, &(lsn, seq)) in group.iter().enumerate() {
+        oobs[slot] = Some(Oob { lsn, seq });
+    }
+    match pool.program(oobs, ssd, stats, issue) {
+        Ok((block, page, done)) => {
+            for (slot, &(lsn, _)) in group.iter().enumerate() {
+                pool.map_slot(lsn, pool.pack(block, page, slot as u32));
+            }
+            done
+        }
+        Err(now) => now,
+    }
 }
 
 impl FgmFtl {
@@ -154,19 +192,17 @@ impl FgmFtl {
             .set_retry_ladder(config.retry_ladder.clone());
         ssd.device_mut().set_adaptive_erase(config.adaptive_erase);
         let g = &config.geometry;
-        let blocks: Vec<FgmBlock> = (0..g.block_count())
-            .map(|gbi| {
-                FgmBlock::new(
-                    gbi,
-                    g.blocks_per_chip,
-                    g.pages_per_block,
-                    g.subpages_per_page,
-                )
-            })
-            .collect();
-        let free = (0..blocks.len() as u32).collect();
         let logical_sectors = config.logical_sectors();
-        let chips = g.chip_count() as usize;
+        let mut pool = BlockPool::with_slots(
+            (0..g.block_count()).collect(),
+            g.pages_per_block,
+            g.subpages_per_page,
+            g.blocks_per_chip,
+            logical_sectors,
+            config.gc_free_watermark,
+        );
+        pool.set_wear_leveling(config.wear_leveling);
+        pool.set_gc_policy(config.gc_policy);
         let map_cache = config.map_cache.as_ref().map(|mc| {
             use esp_nand::OpKind;
             MapCache::new(
@@ -178,55 +214,33 @@ impl FgmFtl {
                 ssd.device().op_cost(OpKind::Erase).total(),
             )
         });
-        let mut ftl = FgmFtl {
+        let mut stats = FtlStats::new();
+        // Exclude factory-marked and previously grown bad blocks (local
+        // block index == gbi here).
+        for gbi in ssd.device().bad_block_indices() {
+            if pool.retire_gbi(gbi) {
+                stats.blocks_retired += 1;
+            }
+        }
+        FgmFtl {
             ssd,
-            blocks,
-            free,
-            actives: vec![None; chips],
-            rr: 0,
-            l2p: vec![NO_PTR; logical_sectors as usize],
+            pool,
             buffer: WriteBuffer::new(config.write_buffer_sectors),
-            stats: FtlStats::new(),
+            stats,
             seq: 0,
             logical_sectors,
-            pages_per_block: g.pages_per_block,
             nsub: g.subpages_per_page,
-            watermark: config.gc_free_watermark,
             background_gc: config.background_gc,
-            gc_policy: config.gc_policy,
-            closed_seq_counter: 1,
             map_cache,
-            wear_leveling: config.wear_leveling,
             wear_delta: config.wear_delta_threshold,
             next_wear_check: 0,
-            exhausted: false,
             reliability: ReadReliability::new(config),
-            trace: EventBuffer::disabled(),
             oob_scratch: vec![None; g.subpages_per_page as usize],
             read_groups: Vec::new(),
             slots_scratch: Vec::new(),
             chunks_scratch: Vec::new(),
             group_scratch: Vec::new(),
-        };
-        // Exclude factory-marked and previously grown bad blocks (local
-        // block index == gbi here).
-        for gbi in ftl.ssd.device().bad_block_indices() {
-            ftl.retire_block(gbi);
-            ftl.stats.blocks_retired += 1;
-        }
-        ftl
-    }
-
-    /// Takes a block out of service: never allocated, never a GC victim.
-    fn retire_block(&mut self, local: u32) {
-        self.blocks[local as usize].retired = true;
-        if let Some(pos) = self.free.iter().position(|&f| f == local) {
-            self.free.swap_remove(pos);
-        }
-        for a in &mut self.actives {
-            if *a == Some(local) {
-                *a = None;
-            }
+            survivors: Vec::new(),
         }
     }
 
@@ -251,63 +265,10 @@ impl FgmFtl {
             "recovery config geometry mismatch"
         );
         let scan = crate::recovery::scan_device(&mut ssd);
-        let scans = scan.blocks;
         let mut ftl = Self::with_ssd(config, ssd);
         ftl.stats.torn_pages_quarantined = scan.torn_pages;
-        // lsn -> (seq, block, page, slot).
-        let mut best: Vec<Option<(u64, u32, u32, u32)>> = vec![None; ftl.logical_sectors as usize];
-        let mut max_seq = 0u64;
-        for (b, scan) in scans.iter().enumerate() {
-            ftl.blocks[b].programmed_pages = scan.programmed_pages();
-            ftl.blocks[b].valid.fill(false);
-            ftl.blocks[b].valid_count = 0;
-            for (p, page) in scan.pages.iter().enumerate() {
-                for slot in &page.live {
-                    max_seq = max_seq.max(slot.seq);
-                    let lsn = slot.lsn as usize;
-                    if lsn >= best.len() {
-                        continue;
-                    }
-                    if best[lsn].is_none_or(|(seq, ..)| slot.seq > seq) {
-                        best[lsn] = Some((slot.seq, b as u32, p as u32, u32::from(slot.slot)));
-                    }
-                }
-            }
-        }
-        for (lsn, entry) in best.iter().enumerate() {
-            let Some((_, b, p, slot)) = *entry else {
-                continue;
-            };
-            ftl.l2p[lsn] = ftl.pack(b, p, slot);
-            let blk = &mut ftl.blocks[b as usize];
-            blk.valid[(p * ftl.nsub + slot) as usize] = true;
-            blk.valid_count += 1;
-        }
-        ftl.free = ftl
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.retired && b.programmed_pages == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        // Resume one partially programmed block per chip as the active
-        // block; close any extras so GC can eventually reclaim them.
-        for a in &mut ftl.actives {
-            *a = None;
-        }
-        for i in 0..ftl.blocks.len() {
-            let b = &ftl.blocks[i];
-            if b.retired || b.programmed_pages == 0 || b.programmed_pages >= ftl.pages_per_block {
-                continue;
-            }
-            let chip = ftl.chip_of(i as u32);
-            if ftl.actives[chip].is_none() {
-                ftl.actives[chip] = Some(i as u32);
-            } else {
-                ftl.blocks[i].programmed_pages = ftl.pages_per_block;
-            }
-        }
-        ftl.seq = max_seq;
+        // Pool-local index == gbi here, so the scan is already in order.
+        ftl.seq = ftl.pool.restore_from_scan(&scan.blocks);
         ftl
     }
 
@@ -315,43 +276,18 @@ impl FgmFtl {
         &mut self.ssd
     }
 
-    /// Allocation-state digest (free pool, retired pool, open blocks,
-    /// per-block fill) for the crash harness's idempotence check.
-    /// Simulated times are excluded: two mounts of the same flash image
-    /// happen at different clocks but must land in the same state.
+    /// Allocation-state digest for the crash harness's idempotence check
+    /// (see `BlockPool::pool_fingerprint`).
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
-        // Keyed by device-global block index: local positions are a mount
-        // artifact, and retired blocks drop out of a remount entirely.
-        let mut out = Vec::new();
-        let mut free: Vec<u64> = self
-            .free
-            .iter()
-            .map(|&b| u64::from(self.blocks[b as usize].gbi))
-            .collect();
-        free.sort_unstable();
-        out.extend(free);
-        out.push(u64::MAX);
-        for a in &self.actives {
-            out.push(a.map_or(u64::MAX - 1, |b| u64::from(self.blocks[b as usize].gbi)));
-        }
-        out.push(u64::MAX);
-        let mut live: Vec<[u64; 3]> = self
-            .blocks
-            .iter()
-            .filter(|b| !b.retired)
-            .map(|b| {
-                [
-                    u64::from(b.gbi),
-                    u64::from(b.programmed_pages),
-                    u64::from(b.valid_count),
-                ]
-            })
-            .collect();
-        live.sort_unstable();
-        for b in live {
-            out.extend(b);
-        }
-        out
+        self.pool.pool_fingerprint()
+    }
+
+    /// Asserts the block pool's structural invariants (see
+    /// [`BlockPool::check_invariants`]). Intended for tests; panics on
+    /// violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.pool.check_invariants([]);
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -359,370 +295,35 @@ impl FgmFtl {
         self.seq
     }
 
-    fn subpages_per_block(&self) -> u32 {
-        self.pages_per_block * self.nsub
-    }
-
-    fn pack(&self, block: u32, page: u32, slot: u32) -> u32 {
-        block * self.subpages_per_block() + page * self.nsub + slot
-    }
-
-    fn unpack(&self, packed: u32) -> (u32, u32, u32) {
-        let spb = self.subpages_per_block();
-        (packed / spb, (packed % spb) / self.nsub, packed % self.nsub)
-    }
-
-    fn map_sector(&mut self, lsn: u64, block: u32, page: u32, slot: u32) {
-        let old = self.l2p[lsn as usize];
-        if old != NO_PTR {
-            let (ob, op, os) = self.unpack(old);
-            let b = &mut self.blocks[ob as usize];
-            let idx = (op * self.nsub + os) as usize;
-            if b.valid[idx] {
-                b.valid[idx] = false;
-                b.valid_count -= 1;
-            }
-        }
-        self.l2p[lsn as usize] = self.pack(block, page, slot);
-        let b = &mut self.blocks[block as usize];
-        b.valid[(page * self.nsub + slot) as usize] = true;
-        b.valid_count += 1;
-    }
-
-    fn chip_of(&self, local: u32) -> usize {
-        self.blocks[local as usize].chip as usize
-    }
-
-    /// Stamps `local` with the next close sequence if it just became fully
-    /// programmed (feeds the age term of the age-aware GC policies).
-    fn note_closed(&mut self, local: u32) {
-        let blk = &mut self.blocks[local as usize];
-        if blk.programmed_pages >= self.pages_per_block && blk.closed_seq == 0 {
-            blk.closed_seq = self.closed_seq_counter;
-            self.closed_seq_counter += 1;
-        }
-    }
-
-    /// Effective P/E of a block: oxide-stress based under adaptive erase,
-    /// identical to the raw erase count otherwise.
-    fn block_pe(&self, local: u32) -> u32 {
-        let gbi = self.blocks[local as usize].gbi;
-        self.ssd
-            .device()
-            .effective_pe(self.ssd.geometry().block_addr(gbi))
-    }
-
-    /// Whole pages still programmable without GC: room left in the open
-    /// blocks plus every block in the free pool.
-    fn allocatable_pages(&self) -> u64 {
-        let mut pages = self.free.len() as u64 * u64::from(self.pages_per_block);
-        for a in self.actives.iter().flatten() {
-            pages += u64::from(self.pages_per_block - self.blocks[*a as usize].programmed_pages);
-        }
-        pages
-    }
-
-    fn can_alloc_page(&self) -> bool {
-        self.allocatable_pages() > 0
-    }
-
-    /// O(1) test for "is this block an open active block". Equivalent to
-    /// `self.actives.contains(&Some(local))`: an active block only ever
-    /// occupies its own chip's slot (see [`FgmFtl::alloc_page`]).
-    fn is_active(&self, local: u32) -> bool {
-        self.actives[self.chip_of(local)] == Some(local)
-    }
-
-    /// Allocates the next whole physical page, round-robining across
-    /// per-chip active blocks so consecutive programs pipeline on
-    /// different chips.
-    fn alloc_page(&mut self) -> (u32, u32) {
-        let chips = self.actives.len();
-        // Every chip's least-worn free block, found in ONE pass over the
-        // pool, computed lazily on the first chip that needs a refill.
-        // The pool is not mutated until a pick succeeds (which returns),
-        // so the single pass sees exactly what per-chip scans would see,
-        // and keeping the first strict minimum in pool order reproduces
-        // `min_by_key`'s first-minimum tie-break per chip.
-        let mut picks: Option<Vec<Option<(u32, usize)>>> = None;
-        for i in 0..chips {
-            let chip = (self.rr + i) % chips;
-            let usable = match self.actives[chip] {
-                Some(b) => self.blocks[b as usize].programmed_pages < self.pages_per_block,
-                None => false,
-            };
-            if !usable {
-                let picks = picks.get_or_insert_with(|| {
-                    let mut p: Vec<Option<(u32, usize)>> = vec![None; chips];
-                    for (idx, &b) in self.free.iter().enumerate() {
-                        let c = self.chip_of(b);
-                        let gbi = self.blocks[b as usize].gbi;
-                        let pe = self
-                            .ssd
-                            .device()
-                            .effective_pe(self.ssd.geometry().block_addr(gbi));
-                        if p[c].is_none_or(|(best, _)| pe < best) {
-                            p[c] = Some((pe, idx));
-                        }
-                    }
-                    p
-                });
-                match picks[chip] {
-                    Some((_, p)) => self.actives[chip] = Some(self.free.swap_remove(p)),
-                    None => continue,
-                }
-            }
-            let block = self.actives[chip].expect("just ensured");
-            let page = self.blocks[block as usize].programmed_pages;
-            self.blocks[block as usize].programmed_pages += 1;
-            self.note_closed(block);
-            self.rr = chip + 1;
-            return (block, page);
-        }
-        panic!("fgm: no free block on any chip (overcommitted)");
-    }
-
-    /// Programs up to `N_sub` sectors into one physical page, mapping each.
-    /// Returns the completion time. A program that reports status fail is
-    /// retried on the next allocated page; the failed page holds no valid
-    /// data, so GC reclaims it with its block.
-    fn program_group(&mut self, group: &[(u64, u64)], issue: SimTime) -> SimTime {
-        debug_assert!(!group.is_empty() && group.len() <= self.nsub as usize);
-        let mut oobs = std::mem::take(&mut self.oob_scratch);
-        oobs.clear();
-        oobs.resize(self.nsub as usize, None);
-        for (slot, &(lsn, seq)) in group.iter().enumerate() {
-            oobs[slot] = Some(Oob { lsn, seq });
-        }
-        let mut now = issue;
-        let done = loop {
-            if self.ssd.halted() {
-                // Power is off: with GC fenced the pool may legitimately be
-                // empty, so bail out before alloc_page can panic over it.
-                break now;
-            }
-            if !self.can_alloc_page() {
-                // Space exhausted (end of life): drop the program rather
-                // than panic. Any sector that was already mapped keeps its
-                // old copy, so reads stay well-formed.
-                break now;
-            }
-            let (block, page) = self.alloc_page();
-            let gbi = self.blocks[block as usize].gbi;
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
-            match self.ssd.program_full(addr, &oobs, now) {
-                Ok(done) => {
-                    for (slot, &(lsn, _)) in group.iter().enumerate() {
-                        self.map_sector(lsn, block, page, slot as u32);
-                    }
-                    break done;
-                }
-                Err(f) if f.error == esp_nand::NandError::ProgramFailed => {
-                    self.stats.program_failures += 1;
-                    self.stats.write_retries += 1;
-                    now = f.at;
-                }
-                Err(f) => panic!("fgm allocated a clean page: {f}"),
-            }
+    /// The pool, its relocation routine and the device, borrowed apart so
+    /// the pool's loops can run.
+    fn gc_parts(&mut self) -> (&mut BlockPool, Repack<'_>, &mut Ssd, &mut FtlStats) {
+        let FgmFtl {
+            pool,
+            ssd,
+            stats,
+            slots_scratch,
+            oob_scratch,
+            survivors,
+            ..
+        } = self;
+        let repack = Repack {
+            slots: slots_scratch,
+            oobs: oob_scratch,
+            survivors,
         };
-        self.oob_scratch = oobs;
-        done
+        (pool, repack, ssd, stats)
     }
 
-    /// Greedy GC: collect min-valid blocks until the free pool recovers.
-    /// When no victim can net free space, degrade instead of looping: the
-    /// watermark shrinks toward [`WATERMARK_FLOOR`] (giving up reserve
-    /// headroom), and once even the floor is unreachable the engine latches
-    /// `exhausted` — the drive is at end of life.
-    fn ensure_space(&mut self, issue: SimTime) -> SimTime {
-        let mut now = issue;
-        while !self.ssd.halted() && !self.exhausted && (self.free.len() as u32) < self.watermark {
-            match self.try_collect_victim(now, "watermark") {
-                Some(done) => now = done,
-                None if self.watermark > WATERMARK_FLOOR => {
-                    self.watermark -= 1;
-                    self.stats.op_shrinks += 1;
-                }
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-            }
-        }
-        now
-    }
-
-    /// Picks a GC victim under the configured policy (greedy by default —
-    /// bit-identical to the historical min-valid scan), composing the
-    /// wear-leveling valid-count slack when enabled.
-    fn pick_victim(&self) -> Option<u32> {
-        let mut candidates = Vec::new();
-        for (i, b) in self.blocks.iter().enumerate() {
-            if b.programmed_pages < self.pages_per_block || b.retired || self.is_active(i as u32) {
-                continue;
-            }
-            candidates.push(VictimCandidate {
-                index: i as u32,
-                valid: b.valid_count,
-                capacity: self.subpages_per_block(),
-                age: self.closed_seq_counter.saturating_sub(b.closed_seq),
-                wear: if self.wear_leveling {
-                    self.block_pe(i as u32)
-                } else {
-                    0
-                },
-            });
-        }
-        select_victim(
-            self.gc_policy,
-            SelectOpts::standard(self.wear_leveling),
-            &candidates,
+    fn program_group(&mut self, group: &[(u64, u64)], issue: SimTime) -> SimTime {
+        program_group(
+            &mut self.pool,
+            &mut self.ssd,
+            &mut self.stats,
+            &mut self.oob_scratch,
+            group,
+            issue,
         )
-    }
-
-    /// Collects one GC victim, or returns `None` when no victim exists,
-    /// none can net free space, or the copy-out would not fit in the
-    /// remaining allocatable pages (erasing then would drop sole copies).
-    fn try_collect_victim(&mut self, issue: SimTime, cause: &'static str) -> Option<SimTime> {
-        let victim = self.pick_victim()?;
-        let valid = self.blocks[victim as usize].valid_count;
-        if valid >= self.subpages_per_block()
-            || u64::from(valid.div_ceil(self.nsub)) > self.allocatable_pages()
-        {
-            return None;
-        }
-        self.stats.gc_invocations += 1;
-        self.trace.emit(|| {
-            TraceEvent::new(issue.as_nanos(), "gc.collect")
-                .tag(cause)
-                .field("block", u64::from(victim))
-                .field("valid_sectors", u64::from(valid))
-        });
-        Some(self.collect_block(victim, issue))
-    }
-
-    /// Relocates every valid sector of `victim` (repacked `N_sub` to a
-    /// page) and erases it. Shared by GC victim collection and the
-    /// read-disturb patrol, which may collect fully-valid blocks.
-    fn collect_block(&mut self, victim: u32, issue: SimTime) -> SimTime {
-        let gbi = self.blocks[victim as usize].gbi;
-        let mut now = issue;
-        // Collect surviving sectors, then repack them 4-to-a-page.
-        let mut survivors: Vec<(u64, u64)> = Vec::new();
-        for page in 0..self.pages_per_block {
-            let any_valid = (0..self.nsub)
-                .any(|s| self.blocks[victim as usize].valid[(page * self.nsub + s) as usize]);
-            if !any_valid {
-                continue;
-            }
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
-            now = self.ssd.read_full_into(addr, now, &mut self.slots_scratch);
-            if self.ssd.halted() {
-                // Power died mid-GC: the victim's remaining valid sectors
-                // stay on flash; this half-done collection dies with DRAM.
-                return now;
-            }
-            for (slot, r) in self.slots_scratch.iter().enumerate() {
-                if self.blocks[victim as usize].valid[(page * self.nsub) as usize + slot] {
-                    let oob = r.as_ref().expect("valid subpage must be readable");
-                    debug_assert_eq!(
-                        self.l2p[oob.lsn as usize],
-                        self.pack(victim, page, slot as u32),
-                        "validity bitmap out of sync with l2p"
-                    );
-                    survivors.push((oob.lsn, oob.seq));
-                }
-            }
-        }
-        for group in survivors.chunks(self.nsub as usize) {
-            now = self.program_group(group, now);
-            self.stats.gc_copied_sectors += group.len() as u64;
-            self.stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
-        }
-        if self.blocks[victim as usize].valid_count > 0 {
-            // Copy-out could not place every survivor (space exhausted
-            // mid-GC): leave the victim intact instead of erasing sole
-            // copies.
-            return now;
-        }
-        let blk_addr = self.ssd.geometry().block_addr(gbi);
-        match self.ssd.erase(blk_addr, now) {
-            Ok(done) => {
-                now = done;
-                let b = &mut self.blocks[victim as usize];
-                b.valid.fill(false);
-                b.valid_count = 0;
-                b.programmed_pages = 0;
-                b.closed_seq = 0;
-                self.free.push(victim);
-            }
-            Err(f) if f.error == esp_nand::NandError::EraseFailed => {
-                // Grown bad block: retire it; survivors were copied out
-                // above, so nothing is lost and GC just picks another
-                // victim.
-                now = f.at;
-                let b = &mut self.blocks[victim as usize];
-                b.valid.fill(false);
-                b.valid_count = 0;
-                b.closed_seq = 0;
-                self.retire_block(victim);
-                self.stats.erase_failures += 1;
-                self.stats.blocks_retired += 1;
-            }
-            Err(f) => panic!("erase managed block: {f}"),
-        }
-        now
-    }
-
-    /// Read-disturb patrol: relocates and erases every block whose sense
-    /// count since its last erase reached `limit`. Open blocks are closed
-    /// first so they stop absorbing senses.
-    fn scrub_disturbed(&mut self, limit: u64, issue: SimTime) -> SimTime {
-        let mut now = issue;
-        while !self.ssd.halted() {
-            let victim = (0..self.blocks.len() as u32).find(|&b| {
-                let blk = &self.blocks[b as usize];
-                !blk.retired
-                    && blk.programmed_pages > 0
-                    && self
-                        .ssd
-                        .device()
-                        .reads_since_erase(self.ssd.geometry().block_addr(blk.gbi))
-                        >= limit
-            });
-            let Some(victim) = victim else { break };
-            for a in &mut self.actives {
-                if *a == Some(victim) {
-                    *a = None;
-                }
-            }
-            self.blocks[victim as usize].programmed_pages = self.pages_per_block;
-            self.note_closed(victim);
-            // Copy-out needs allocatable space; GC here may collect (and
-            // thereby scrub) the victim itself, so re-check before taking
-            // it — a completed erase already reset its sense count.
-            now = self.ensure_space(now);
-            let addr = self
-                .ssd
-                .geometry()
-                .block_addr(self.blocks[victim as usize].gbi);
-            if self.ssd.device().reads_since_erase(addr) >= limit && !self.ssd.halted() {
-                let at = now.as_nanos();
-                self.trace.emit(|| {
-                    TraceEvent::new(at, "gc.scrub")
-                        .tag("disturb")
-                        .field("block", u64::from(victim))
-                });
-                now = self.collect_block(victim, now);
-                self.stats.disturb_scrubs += 1;
-                if self.blocks[victim as usize].valid_count > 0 {
-                    // Space exhausted: the block cannot be relocated, and
-                    // retrying it forever would livelock the patrol.
-                    break;
-                }
-            }
-        }
-        now
     }
 
     /// Read-reclaim: rewrites the given `(lsn, seq)` survivors of a
@@ -730,14 +331,15 @@ impl FgmFtl {
     fn reclaim_sectors(&mut self, sectors: &[(u64, u64)], issue: SimTime) -> SimTime {
         let mut now = issue;
         for group in sectors.chunks(self.nsub as usize) {
-            now = self.ensure_space(now);
+            let (pool, mut repack, ssd, stats) = self.gc_parts();
+            now = pool.ensure_space(&mut repack, ssd, stats, now);
             if self.ssd.halted() {
                 return now;
             }
             let at = now.as_nanos();
             let sectors = group.len() as u64;
             now = self.program_group(group, now);
-            self.trace.emit(|| {
+            self.pool.trace_mut().emit(|| {
                 TraceEvent::new(at, "gc.reclaim")
                     .tag("read_reclaim")
                     .field("sectors", sectors)
@@ -747,53 +349,6 @@ impl FgmFtl {
             self.stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
         }
         now
-    }
-
-    /// Static wear leveling: when the fleet-wide effective-P/E spread
-    /// exceeds the configured delta, migrate the coldest (least-worn) full
-    /// block's data so the lightly-worn block re-enters the free pool and
-    /// absorbs hot writes. One migration per call keeps the cost bounded.
-    fn wear_rotate(&mut self, now: SimTime) -> SimTime {
-        let mut max_pe = 0u32;
-        let mut any = false;
-        for (i, b) in self.blocks.iter().enumerate() {
-            if !b.retired {
-                max_pe = max_pe.max(self.block_pe(i as u32));
-                any = true;
-            }
-        }
-        if !any {
-            return now;
-        }
-        let Some(cold) = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                b.programmed_pages >= self.pages_per_block
-                    && !b.retired
-                    && !self.is_active(*i as u32)
-            })
-            .min_by_key(|(i, _)| (self.block_pe(*i as u32), *i))
-            .map(|(i, _)| i as u32)
-        else {
-            return now;
-        };
-        if max_pe.saturating_sub(self.block_pe(cold)) <= self.wear_delta {
-            return now;
-        }
-        let valid = self.blocks[cold as usize].valid_count;
-        if u64::from(valid.div_ceil(self.nsub)) > self.allocatable_pages() {
-            return now;
-        }
-        self.stats.wear_level_migrations += 1;
-        self.trace.emit(|| {
-            TraceEvent::new(now.as_nanos(), "gc.wear_rotate")
-                .tag("static_wl")
-                .field("block", u64::from(cold))
-                .field("valid_sectors", u64::from(valid))
-        });
-        self.collect_block(cold, now)
     }
 
     /// Writes flush chunks out. Following the paper's FGM definition, the
@@ -817,7 +372,8 @@ impl FgmFtl {
                 for i in idx..end {
                     group.push((c.start_lsn + i as u64, self.next_seq()));
                 }
-                let mut t = self.ensure_space(issue);
+                let (pool, mut repack, ssd, stats) = self.gc_parts();
+                let mut t = pool.ensure_space(&mut repack, ssd, stats, issue);
                 // Demand-cached mapping: dirtying each sector's translation
                 // page may fault it in (TP read) and push out a dirty TP
                 // (TP program); both serialize ahead of the data program.
@@ -828,7 +384,7 @@ impl FgmFtl {
                     }
                     t = at;
                 }
-                if !self.ssd.halted() && !self.can_alloc_page() {
+                if !self.ssd.halted() && !self.pool.can_alloc_page() {
                     // End of life: the flush has nowhere to land. Latch the
                     // refusal so subsequent writes are dropped up front;
                     // already-mapped sectors keep their old copies.
@@ -865,16 +421,16 @@ impl Ftl for FgmFtl {
     }
 
     fn enable_tracing(&mut self, capacity: usize) {
-        self.trace.enable(capacity);
+        self.pool.enable_tracing(capacity);
         self.ssd.enable_tracing(capacity);
     }
 
     fn events(&self) -> Vec<TraceEvent> {
-        merge_events(&[&self.trace, self.ssd.trace()])
+        merge_events(&[self.pool.trace(), self.ssd.trace()])
     }
 
     fn events_dropped(&self) -> u64 {
-        self.trace.dropped() + self.ssd.trace().dropped()
+        self.pool.trace().dropped() + self.ssd.trace().dropped()
     }
 
     fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
@@ -932,11 +488,10 @@ impl Ftl for FgmFtl {
             if self.buffer.contains(s) {
                 continue;
             }
-            let packed = self.l2p[s as usize];
-            if packed == NO_PTR {
+            let Some(ptr) = self.pool.mapped(s) else {
                 continue;
-            }
-            let (b, p, slot) = self.unpack(packed);
+            };
+            let (b, p, slot) = self.pool.unpack(ptr);
             groups.push((b, p, s, slot));
         }
         groups.sort_by_key(|&(b, p, _, _)| (b, p));
@@ -958,8 +513,7 @@ impl Ftl for FgmFtl {
             while j < groups.len() && (groups[j].0, groups[j].1) == (block, page) {
                 j += 1;
             }
-            let gbi = self.blocks[block as usize].gbi;
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
+            let addr = self.pool.page_of(block, page, &self.ssd);
             if j - i >= 2 {
                 let (effort, t) =
                     self.ssd
@@ -1004,14 +558,17 @@ impl Ftl for FgmFtl {
         let reads = self.ssd.device().stats().reads;
         if self.reliability.patrol_due(reads) {
             if let Some(limit) = self.reliability.scrub_limit() {
-                self.scrub_disturbed(limit, now);
+                let (pool, mut repack, ssd, stats) = self.gc_parts();
+                pool.scrub_disturbed(&mut repack, ssd, stats, limit, now);
             }
         }
-        if self.wear_leveling && !self.exhausted {
+        if self.pool.wear_leveling() {
             let erases = self.ssd.device().stats().erases;
             if erases >= self.next_wear_check {
                 self.next_wear_check = erases + 16;
-                self.wear_rotate(now);
+                let delta = self.wear_delta;
+                let (pool, mut repack, ssd, stats) = self.gc_parts();
+                pool.wear_rotate(&mut repack, ssd, stats, now, delta);
             }
         }
     }
@@ -1031,51 +588,19 @@ impl Ftl for FgmFtl {
         if !self.background_gc || self.ssd.device_failed() {
             return;
         }
-        use esp_nand::OpKind;
-        let per_page = self.ssd.device().op_cost(OpKind::ReadFull).total()
-            + self.ssd.device().op_cost(OpKind::ProgramFull).total();
-        let erase = self.ssd.device().op_cost(OpKind::Erase).total();
-        let mut now = from;
-        while (self.free.len() as u32) < self.watermark + 2 {
-            let victim_valid = self
-                .blocks
-                .iter()
-                .enumerate()
-                .filter(|(i, b)| {
-                    b.programmed_pages >= self.pages_per_block
-                        && b.valid_count < self.subpages_per_block()
-                        && !b.retired
-                        && !self.is_active(*i as u32)
-                })
-                .map(|(_, b)| b.valid_count)
-                .min();
-            let Some(valid) = victim_valid else { break };
-            let estimate = per_page * u64::from(valid.div_ceil(self.nsub) + 1) + erase;
-            if now + estimate > until {
-                break;
-            }
-            match self.try_collect_victim(now, "background") {
-                Some(done) => now = done,
-                None => break,
-            }
-        }
+        let target = self.pool.watermark() + 2;
+        let (pool, mut repack, ssd, stats) = self.gc_parts();
+        pool.background_collect(&mut repack, ssd, stats, from, until, target);
     }
 
     fn stored_seq(&self, lsn: u64) -> Option<u64> {
         if self.buffer.contains(lsn) {
             return None;
         }
-        let packed = self.l2p[lsn as usize];
-        if packed == NO_PTR {
-            return None;
-        }
-        let (b, p, slot) = self.unpack(packed);
-        let gbi = self.blocks[b as usize].gbi;
+        let (block, page, slot) = self.pool.unpack(self.pool.mapped(lsn)?);
         let addr = self
-            .ssd
-            .geometry()
-            .block_addr(gbi)
-            .page(p)
+            .pool
+            .page_of(block, page, &self.ssd)
             .subpage(slot as u8);
         match self.ssd.device().subpage_state(addr) {
             esp_nand::SubpageState::Written(w) => w.oob.filter(|o| o.lsn == lsn).map(|o| o.seq),
@@ -1087,24 +612,14 @@ impl Ftl for FgmFtl {
         self.buffer.discard(lsn, sectors);
         // Fine-grained map: every covered sector can be invalidated.
         for s in lsn..lsn + u64::from(sectors) {
-            let packed = self.l2p[s as usize];
-            if packed != NO_PTR {
-                let (b, p, slot) = self.unpack(packed);
-                let blk = &mut self.blocks[b as usize];
-                let idx = (p * self.nsub + slot) as usize;
-                if blk.valid[idx] {
-                    blk.valid[idx] = false;
-                    blk.valid_count -= 1;
-                }
-                self.l2p[s as usize] = NO_PTR;
-            }
+            self.pool.unmap(s);
         }
     }
 
     fn mapping_memory_bytes(&self) -> u64 {
         match &self.map_cache {
             Some(cache) => cache.resident_bytes(),
-            None => (self.l2p.len() * std::mem::size_of::<u32>()) as u64,
+            None => self.pool.mapping_bytes(),
         }
     }
 
@@ -1189,8 +704,8 @@ mod tests {
         let mut ftl = tiny_ftl();
         ftl.write(3, 1, true, SimTime::ZERO);
         ftl.write(3, 1, true, SimTime::from_secs(1));
-        let total_valid: u32 = ftl.blocks.iter().map(|b| b.valid_count).sum();
-        assert_eq!(total_valid, 1);
+        assert_eq!(ftl.pool.valid_slots(), 1);
+        ftl.check_invariants();
     }
 
     #[test]
@@ -1211,7 +726,7 @@ mod tests {
         // Every mapped sector still reads back correctly.
         let t = SimTime::from_secs(10_000);
         for lsn in 0..footprint {
-            if ftl.l2p[lsn as usize] != NO_PTR {
+            if ftl.pool.mapped(lsn).is_some() {
                 ftl.read(lsn, 1, t);
             }
         }

@@ -2,10 +2,9 @@
 //!
 //! Every FTL in this crate used to hard-code greedy victim selection
 //! (fewest valid units wins). This module extracts that decision into a
-//! single policy point shared by all four victim sites — the full-page
-//! region engine (cgmFTL, subFTL's full region, sector-log's data
-//! region), fgmFTL's block pool, subFTL's subpage region, and the
-//! sector-log's log-block pool — so alternatives from the flash GC
+//! single policy point shared by both victim sites — the block pool
+//! (cgmFTL, fgmFTL, subFTL's full-page region, both sector-log regions)
+//! and subFTL's subpage region — so alternatives from the flash GC
 //! literature (Dayan & Bonnet, *Garbage Collection Techniques for
 //! Flash-Resident Page-Mapping FTLs*) can be compared apples-to-apples:
 //!
@@ -119,25 +118,25 @@ pub struct VictimCandidate {
     pub wear: u32,
 }
 
-/// Per-site knobs for [`select_victim`]. The four victim sites differ
+/// Per-site knobs for [`select_victim`]. The two victim sites differ
 /// only in two details of the historical wear-slack path, preserved here
 /// bit-for-bit.
 #[derive(Debug, Clone, Copy)]
 pub struct SelectOpts {
     /// Apply the wear-leveling slack pass after the policy's choice.
     pub wear_leveling: bool,
-    /// Historical quirk (full-region / fgm / sector-log sites): when the
-    /// best candidate is fully valid, skip the wear pass and return it
-    /// directly. subFTL's subpage region never short-circuits.
+    /// Historical quirk (block-pool site): when the best candidate is
+    /// fully valid, skip the wear pass and return it directly. subFTL's
+    /// subpage region never short-circuits.
     pub early_return_full: bool,
-    /// Historical quirk (same three sites): cap the slack window at
+    /// Historical quirk (block-pool site): cap the slack window at
     /// `capacity − 1` so a fully-valid block is never chosen over a
     /// partially-invalid one. subFTL applies no cap.
     pub cap_limit: bool,
 }
 
 impl SelectOpts {
-    /// The full-region / fgm / sector-log flavour.
+    /// The block-pool flavour.
     #[must_use]
     pub fn standard(wear_leveling: bool) -> Self {
         SelectOpts {

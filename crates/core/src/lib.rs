@@ -49,13 +49,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block_pool;
 mod buffer;
 mod cgm;
 mod config;
 mod crash_harness;
 mod eol;
 mod fgm;
-mod full_region;
 mod gc_policy;
 mod map_cache;
 mod read_path;
@@ -68,6 +68,7 @@ mod sub;
 mod sub_map;
 mod tenant;
 
+pub use block_pool::{BlockPool, PagePtr};
 pub use buffer::{FlushChunk, WriteBuffer};
 pub use cgm::CgmFtl;
 pub use config::{EvictionPolicy, FtlConfig};
@@ -76,7 +77,6 @@ pub use crash_harness::{
 };
 pub use eol::SpaceExhausted;
 pub use fgm::FgmFtl;
-pub use full_region::{FullRegionEngine, PagePtr};
 pub use gc_policy::{
     select_victim, GcPolicyKind, SelectOpts, VictimCandidate, VICTIM_WEAR_SLACK_SHIFT,
 };

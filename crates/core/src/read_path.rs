@@ -11,9 +11,9 @@ use esp_sim::SimTime;
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::BlockPool;
 use crate::buffer::WriteBuffer;
 use crate::config::FtlConfig;
-use crate::full_region::FullRegionEngine;
 use crate::stats::FtlStats;
 
 /// Classifies a read result: benign misses (never-written data) are fine;
@@ -204,7 +204,7 @@ pub(crate) fn read_sectors_coarse(
     sectors: u32,
     issue: SimTime,
     ssd: &mut Ssd,
-    engine: &FullRegionEngine,
+    engine: &BlockPool,
     buffer: &WriteBuffer,
     stats: &mut FtlStats,
     reliability: &ReadReliability,

@@ -12,52 +12,25 @@
 //! sector of a victim's logical pages is read-modify-written back into the
 //! data region.
 //!
+//! Both regions are [`BlockPool`]s: the data region a page pool as in
+//! cgmFTL, the log region a subpage-slot pool whose map is the sparse
+//! [`SubpageMap`] kept here, with full merges as its relocation routine.
+//!
 //! Implemented as a fourth [`Ftl`] so the paper's qualitative comparison
 //! becomes a measurable experiment (`related_sector_log`).
 
 use esp_nand::Oob;
-use esp_sim::{merge_events, EventBuffer, EventSink, SimTime, TraceEvent};
+use esp_sim::{merge_events, EventSink, SimTime, TraceEvent};
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::{BlockPool, PageCopy, Relocate};
 use crate::buffer::{FlushChunk, WriteBuffer};
 use crate::config::FtlConfig;
-use crate::full_region::FullRegionEngine;
-use crate::gc_policy::{select_victim, GcPolicyKind, SelectOpts, VictimCandidate};
 use crate::read_path::{note_read_result, ReadReliability};
 use crate::runner::Ftl;
 use crate::stats::FtlStats;
 use crate::sub_map::{SubEntry, SubpageMap};
-
-#[derive(Debug, Clone)]
-struct LogBlock {
-    gbi: u32,
-    chip: u32,
-    /// Validity per subpage slot (pages × N_sub).
-    valid: Vec<bool>,
-    valid_count: u32,
-    programmed_pages: u32,
-    /// Bad block (factory-marked or grown): never appended to again.
-    retired: bool,
-    /// Monotone stamp taken when the block filled; 0 means "never stamped
-    /// this mount" (erased, or recovered — treated as maximally old by
-    /// age-aware GC policies).
-    closed_seq: u64,
-}
-
-impl LogBlock {
-    fn new(gbi: u32, chip: u32, pages: u32, nsub: u32) -> Self {
-        LogBlock {
-            gbi,
-            chip,
-            valid: vec![false; (pages * nsub) as usize],
-            valid_count: 0,
-            programmed_pages: 0,
-            retired: false,
-            closed_seq: 0,
-        }
-    }
-}
 
 /// The sector-log baseline FTL (see module docs).
 ///
@@ -75,44 +48,207 @@ impl LogBlock {
 #[derive(Debug, Clone)]
 pub struct SectorLogFtl {
     ssd: Ssd,
-    /// Coarse-grained data region (same engine as cgmFTL).
-    data: FullRegionEngine,
-    log_blocks: Vec<LogBlock>,
-    log_free: Vec<u32>,
-    log_actives: Vec<Option<u32>>,
-    rr: usize,
+    /// Coarse-grained data region (a page pool, as in cgmFTL).
+    data: BlockPool,
+    /// Log region: a subpage-slot pool mapped by `log_map`.
+    log: BlockPool,
     /// Fine-grained log map: lsn → log location.
     log_map: SubpageMap,
     buffer: WriteBuffer,
     stats: FtlStats,
     seq: u64,
     logical_sectors: u64,
-    pages_per_block: u32,
     nsub: u32,
-    watermark: u32,
-    /// Victim-selection policy for log-merge GC (the data region's engine
-    /// carries its own copy).
-    gc_policy: GcPolicyKind,
-    /// Source for [`LogBlock::closed_seq`] stamps; starts at 1 so stamp 0
-    /// stays reserved for "never closed".
-    closed_seq_counter: u64,
     /// Background GC into host idle windows (`FtlConfig::background_gc`).
     background_gc: bool,
-    /// Wear-delta bias in log-merge victim selection plus wear-aware log
-    /// allocation (off by default for bit-identity with the seed).
-    wear_leveling: bool,
-    /// Max−min effective-P/E spread that triggers a data-region rotation.
+    /// Max−min effective-P/E spread that triggers a rotation.
     wear_delta: u32,
     /// Device erase count at which the next wear-spread check runs.
     next_wear_check: u64,
     reliability: ReadReliability,
-    /// Log-merge/reclaim event recorder; disabled (free) by default.
-    trace: EventBuffer,
-    /// Reused full-page read buffer and OOB staging for log merges and
-    /// grouped host reads, so those hot paths allocate nothing per page.
+    /// Reused full-page read buffer and OOB staging for log merges, log
+    /// appends and grouped host reads, so those hot paths allocate nothing
+    /// per page.
     slots_scratch: Vec<Result<Oob, esp_nand::ReadFault>>,
     oobs_scratch: Vec<Option<Oob>>,
     chunks_scratch: Vec<FlushChunk>,
+    /// Reused logical pages of a merge victim.
+    lpns_scratch: Vec<u64>,
+    /// Reused `(lsn, host origin)` log residue of a flush chunk.
+    residues_scratch: Vec<(u64, bool)>,
+}
+
+/// Log blocks on each chip: the share subFTL gives its subpage region
+/// (`subpage_region_fraction`), for a like-for-like comparison. The first
+/// blocks of every chip form the log region.
+fn log_blocks_per_chip(config: &FtlConfig) -> u32 {
+    let bpc = config.geometry.blocks_per_chip;
+    ((f64::from(bpc) * config.subpage_region_fraction).round() as u32).clamp(2, bpc - 1)
+}
+
+/// The log region's refill rule: the chip's first free block or, with wear
+/// leveling on, its least-worn one (lowest index among equals) so erase
+/// cycles spread across the region.
+fn log_refill(log: &BlockPool, chip: usize, ssd: &Ssd) -> Option<usize> {
+    let mut on_chip = log.free_on_chip(chip);
+    let pick = if log.wear_leveling() {
+        on_chip.min_by_key(|&(_, b)| (log.block_pe(b, ssd), b))
+    } else {
+        on_chip.next()
+    };
+    pick.map(|(pos, _)| pos)
+}
+
+/// Drops the log copy of `lsn`, if any.
+fn unmap_log(log: &mut BlockPool, log_map: &mut SubpageMap, lsn: u64) {
+    if let Some(e) = log_map.remove(lsn) {
+        let ptr = log.pack(e.block, e.page, u32::from(e.slot));
+        debug_assert!(log.is_valid(ptr));
+        log.clear_valid(ptr);
+    }
+}
+
+/// The log region's relocation: a full merge of every logical page with a
+/// live sector in the victim back into the data region.
+struct LogMerge<'a> {
+    data: &'a mut BlockPool,
+    log_map: &'a mut SubpageMap,
+    reliability: &'a mut ReadReliability,
+    slots: &'a mut Vec<Result<Oob, esp_nand::ReadFault>>,
+    oobs: &'a mut Vec<Option<Oob>>,
+    lpns: &'a mut Vec<u64>,
+    /// Minimum wear gain of a log-for-data block swap.
+    wear_delta: u32,
+}
+
+impl LogMerge<'_> {
+    /// Full merge of one logical page: gather its sectors (live log copies
+    /// first, then the old data-region page), program a fresh data page,
+    /// and drop the log entries. When the data region is exhausted the log
+    /// entries stay mapped (they are sole copies) and end of life latches.
+    fn merge_lpn(
+        &mut self,
+        log: &mut BlockPool,
+        lpn: u64,
+        ssd: &mut Ssd,
+        stats: &mut FtlStats,
+        issue: SimTime,
+    ) -> SimTime {
+        let page_sz = u64::from(SECTORS_PER_PAGE);
+        self.oobs.clear();
+        self.oobs.resize(SECTORS_PER_PAGE as usize, None);
+        let mut now = issue;
+        let mut from_log = 0u64;
+        for slot in 0..page_sz {
+            let lsn = lpn * page_sz + slot;
+            if let Some(e) = self.log_map.get(lsn) {
+                let addr = log.page_of(e.block, e.page, ssd).subpage(e.slot);
+                let (r, t) = ssd.read_subpage(addr, now);
+                now = t;
+                note_read_result(&r, lsn, stats);
+                if let Ok(oob) = r {
+                    self.oobs[slot as usize] = Some(oob);
+                    from_log += 1;
+                }
+            }
+        }
+        if let Some(ptr) = self.data.lookup(lpn) {
+            let addr = self.data.page_addr(ptr, ssd);
+            now = ssd.read_full_into(addr, now, self.slots);
+            for (slot, r) in self.slots.iter().enumerate() {
+                if self.oobs[slot].is_none() {
+                    if let Ok(oob) = r {
+                        self.oobs[slot] = Some(*oob);
+                    }
+                }
+            }
+            stats.rmw_operations += 1;
+        }
+        now = match self.data.try_program_page(lpn, self.oobs, ssd, stats, now) {
+            Ok(t) => t,
+            Err(_) => {
+                self.reliability.latch_end_of_life(stats);
+                return now;
+            }
+        };
+        for slot in 0..page_sz {
+            unmap_log(log, self.log_map, lpn * page_sz + slot);
+        }
+        stats.gc_copied_sectors += from_log;
+        stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
+        now
+    }
+}
+
+impl Relocate for LogMerge<'_> {
+    fn relocate(
+        &mut self,
+        log: &mut BlockPool,
+        victim: u32,
+        ssd: &mut Ssd,
+        stats: &mut FtlStats,
+        issue: SimTime,
+    ) -> SimTime {
+        stats.gc_invocations += 1;
+        log.emit_collect("log_merge", victim, issue);
+        let mut now = issue;
+        self.lpns.clear();
+        for page in 0..log.pages_per_block() {
+            if !log.page_has_valid(victim, page) {
+                continue;
+            }
+            let addr = log.page_of(victim, page, ssd);
+            now = ssd.read_full_into(addr, now, self.slots);
+            if ssd.halted() {
+                // Power died mid-merge: surviving log copies stay where
+                // they are on flash; this half-done merge dies with DRAM.
+                return now;
+            }
+            for (slot, r) in self.slots.iter().enumerate() {
+                if log.is_valid(log.pack(victim, page, slot as u32)) {
+                    let oob = r.as_ref().expect("valid log sector must be readable");
+                    self.lpns.push(oob.lsn / u64::from(SECTORS_PER_PAGE));
+                }
+            }
+        }
+        self.lpns.sort_unstable();
+        self.lpns.dedup();
+        for i in 0..self.lpns.len() {
+            let lpn = self.lpns[i];
+            now = self.merge_lpn(log, lpn, ssd, stats, now);
+        }
+        now
+    }
+
+    /// The merge lands in the data region, whatever room the log has.
+    fn fits(&self, _log: &BlockPool, _victim: u32) -> bool {
+        true
+    }
+
+    /// Static rotation levels wear across both regions.
+    fn outside_max_pe(&self, ssd: &Ssd) -> u32 {
+        self.data.wear_spread(ssd).map_or(0, |(_, hi)| hi)
+    }
+
+    /// With wear leveling on, trades the hottest erased log block for the
+    /// data region's coldest free block. The log pool churns orders of
+    /// magnitude faster than data blocks pinned under cold pages, so
+    /// without this cross-region exchange the handful of log blocks absorb
+    /// the device's whole erase budget on their own.
+    fn after_erase(&mut self, log: &mut BlockPool, ssd: &Ssd, stats: &mut FtlStats) {
+        if !log.wear_leveling() {
+            return;
+        }
+        let Some(pos) = log.most_worn_free(ssd) else {
+            return;
+        };
+        let worn_gbi = log.free_gbi(pos);
+        let Some(fresh_gbi) = self.data.swap_free_block(worn_gbi, self.wear_delta, ssd) else {
+            return;
+        };
+        log.exchange_free(pos, fresh_gbi);
+        stats.wear_swaps += 1;
+    }
 }
 
 impl SectorLogFtl {
@@ -149,8 +285,7 @@ impl SectorLogFtl {
         ssd.device_mut().set_adaptive_erase(config.adaptive_erase);
         let g = &config.geometry;
         let bpc = g.blocks_per_chip;
-        let log_per_chip =
-            ((f64::from(bpc) * config.subpage_region_fraction).round() as u32).clamp(2, bpc - 1);
+        let log_per_chip = log_blocks_per_chip(config);
         let mut log_gbis = Vec::new();
         let mut data_gbis = Vec::new();
         for chip in 0..g.chip_count() {
@@ -165,63 +300,54 @@ impl SectorLogFtl {
         }
         let logical_sectors = config.logical_sectors();
         let lpn_count = logical_sectors / u64::from(SECTORS_PER_PAGE);
-        let mut data = FullRegionEngine::new(
+        let mut data = BlockPool::new(
             data_gbis,
             g.pages_per_block,
             bpc,
             lpn_count,
             config.gc_free_watermark,
         );
-        data.set_wear_leveling(config.wear_leveling);
-        data.set_gc_policy(config.gc_policy);
-        let log_blocks: Vec<LogBlock> = log_gbis
-            .iter()
-            .map(|&gbi| LogBlock::new(gbi, gbi / bpc, g.pages_per_block, g.subpages_per_page))
-            .collect();
-        let log_free = (0..log_blocks.len() as u32).collect();
-        let chips = g.chip_count() as usize;
-        let map_capacity = log_blocks.len() * (g.pages_per_block * g.subpages_per_page) as usize;
-        let mut ftl = SectorLogFtl {
+        let map_capacity = log_gbis.len() * (g.pages_per_block * g.subpages_per_page) as usize;
+        let mut log = BlockPool::with_slots(
+            log_gbis,
+            g.pages_per_block,
+            g.subpages_per_page,
+            bpc,
+            0,
+            config.gc_free_watermark,
+        );
+        log.set_refill(log_refill);
+        for pool in [&mut data, &mut log] {
+            pool.set_wear_leveling(config.wear_leveling);
+            pool.set_gc_policy(config.gc_policy);
+        }
+        // Exclude factory-marked bad blocks from whichever region owns them.
+        let mut stats = FtlStats::new();
+        for gbi in ssd.device().bad_block_indices() {
+            if data.retire_gbi(gbi) || log.retire_gbi(gbi) {
+                stats.blocks_retired += 1;
+            }
+        }
+        SectorLogFtl {
             ssd,
             data,
-            log_blocks,
-            log_free,
-            log_actives: vec![None; chips],
-            rr: 0,
+            log,
             log_map: SubpageMap::with_capacity(map_capacity.max(1)),
             buffer: WriteBuffer::new(config.write_buffer_sectors),
-            stats: FtlStats::new(),
+            stats,
             seq: 0,
             logical_sectors,
-            pages_per_block: g.pages_per_block,
             nsub: g.subpages_per_page,
-            watermark: config.gc_free_watermark,
-            gc_policy: config.gc_policy,
-            closed_seq_counter: 1,
             background_gc: config.background_gc,
-            wear_leveling: config.wear_leveling,
             wear_delta: config.wear_delta_threshold,
             next_wear_check: 0,
             reliability: ReadReliability::new(config),
-            trace: EventBuffer::disabled(),
             slots_scratch: Vec::new(),
             oobs_scratch: Vec::new(),
             chunks_scratch: Vec::new(),
-        };
-        // Exclude factory-marked bad blocks from whichever region owns them.
-        for gbi in ftl.ssd.device().bad_block_indices() {
-            if ftl.data.retire_gbi(gbi) {
-                ftl.stats.blocks_retired += 1;
-            } else if let Some(local) = ftl
-                .log_blocks
-                .iter()
-                .position(|b| b.gbi == gbi && !b.retired)
-            {
-                ftl.retire_log_block(local as u32);
-                ftl.stats.blocks_retired += 1;
-            }
+            lpns_scratch: Vec::new(),
+            residues_scratch: Vec::new(),
         }
-        ftl
     }
 
     /// Rebuilds a sector-log FTL from the contents of a previously written
@@ -254,20 +380,22 @@ impl SectorLogFtl {
         }
         let scan = crate::recovery::scan_device(&mut ssd);
         let scans = scan.blocks;
-        let g = config.geometry.clone();
-        let bpc = g.blocks_per_chip;
-        let log_per_chip =
-            ((f64::from(bpc) * config.subpage_region_fraction).round() as u32).clamp(2, bpc - 1);
-        let data_per_chip = bpc - log_per_chip;
+        let bpc = config.geometry.blocks_per_chip;
+        let log_per_chip = log_blocks_per_chip(config);
         let mut ftl = Self::with_ssd(config, ssd);
         ftl.stats.torn_pages_quarantined = scan.torn_pages;
         let page_sz = u64::from(SECTORS_PER_PAGE);
-        let lpn_count = (ftl.logical_sectors / page_sz) as usize;
 
-        // Split the scan back into the structural regions.
-        // lpn -> (seq, data-local block, page) of the newest data copy.
-        let mut best_data: Vec<Option<(u64, u32, u32)>> = vec![None; lpn_count];
-        // Newest log copy per lsn.
+        // Split the scan back into the structural regions: the data region
+        // rebuilds like cgmFTL, the log keeps its newest copy per lsn.
+        let is_log = |gbi: usize| (gbi as u32 % bpc) < log_per_chip;
+        let mut max_seq = ftl.data.restore_from_scan(
+            scans
+                .iter()
+                .enumerate()
+                .filter(|&(gbi, _)| !is_log(gbi))
+                .map(|(_, scan)| scan),
+        );
         #[derive(Clone, Copy)]
         struct LogCand {
             seq: u64,
@@ -277,80 +405,46 @@ impl SectorLogFtl {
             written_at: SimTime,
         }
         let mut best_log: Vec<Option<LogCand>> = vec![None; ftl.logical_sectors as usize];
-        let mut data_programmed = vec![0u32; (g.chip_count() * data_per_chip) as usize];
-        let mut max_seq = 0u64;
-        for (gbi, scan) in scans.iter().enumerate() {
-            let gbi = gbi as u32;
-            let (chip, b) = (gbi / bpc, gbi % bpc);
-            let log_local = if b < log_per_chip {
-                let local = chip * log_per_chip + b;
-                ftl.log_blocks[local as usize].programmed_pages = scan.programmed_pages();
-                Some(local)
-            } else {
-                let data_local = chip * data_per_chip + (b - log_per_chip);
-                data_programmed[data_local as usize] = scan.programmed_pages();
-                None
-            };
+        let mut log_programmed = Vec::new();
+        for (gbi, scan) in scans.iter().enumerate().filter(|&(gbi, _)| is_log(gbi)) {
+            let local = log_programmed.len() as u32;
+            log_programmed.push(scan.programmed_pages());
             for (p, page) in scan.pages.iter().enumerate() {
                 for slot in &page.live {
                     max_seq = max_seq.max(slot.seq);
-                }
-                match log_local {
-                    Some(local) => {
-                        for slot in &page.live {
-                            if slot.lsn >= ftl.logical_sectors {
-                                continue;
-                            }
-                            let e = &mut best_log[slot.lsn as usize];
-                            if e.is_none_or(|c| slot.seq > c.seq) {
-                                *e = Some(LogCand {
-                                    seq: slot.seq,
-                                    block: local,
-                                    page: p as u32,
-                                    slot: slot.slot,
-                                    written_at: slot.written_at,
-                                });
-                            }
-                        }
+                    if slot.lsn >= ftl.logical_sectors {
+                        continue;
                     }
-                    None => {
-                        let Some(newest) = page.live.iter().max_by_key(|s| s.seq) else {
-                            continue;
-                        };
-                        let lpn = (newest.lsn / page_sz) as usize;
-                        if lpn >= lpn_count {
-                            continue;
-                        }
-                        let data_local = chip * data_per_chip + (b - log_per_chip);
-                        if best_data[lpn].is_none_or(|(seq, _, _)| newest.seq > seq) {
-                            best_data[lpn] = Some((newest.seq, data_local, p as u32));
-                        }
+                    let e = &mut best_log[slot.lsn as usize];
+                    if e.is_none_or(|c| slot.seq > c.seq) {
+                        *e = Some(LogCand {
+                            seq: slot.seq,
+                            block: local,
+                            page: p as u32,
+                            slot: slot.slot,
+                            written_at: slot.written_at,
+                        });
                     }
                 }
             }
+            debug_assert_eq!(ftl.log.gbi(local), gbi as u32);
         }
-        let mappings: Vec<(u64, u32, u32)> = best_data
-            .iter()
-            .enumerate()
-            .filter_map(|(lpn, e)| e.map(|(_, b, p)| (lpn as u64, b, p)))
-            .collect();
-        ftl.data.restore_state(&data_programmed, &mappings);
 
         // Per-sector sequence number of the chosen data-region copy, used
         // to drop log entries the merges already superseded.
         let mut data_seq = vec![0u64; ftl.logical_sectors as usize];
-        for entry in &best_data {
-            let Some((_, data_local, p)) = *entry else {
+        for lpn in 0..ftl.logical_sectors / page_sz {
+            let Some(ptr) = ftl.data.lookup(lpn) else {
                 continue;
             };
-            let chip = data_local / data_per_chip;
-            let gbi = chip * bpc + log_per_chip + (data_local % data_per_chip);
-            for slot in &scans[gbi as usize].pages[p as usize].live {
+            let gbi = ftl.data.gbi(ptr.block);
+            for slot in &scans[gbi as usize].pages[ptr.page as usize].live {
                 if slot.lsn < ftl.logical_sectors {
                     data_seq[slot.lsn as usize] = data_seq[slot.lsn as usize].max(slot.seq);
                 }
             }
         }
+        ftl.log.restore_state(&log_programmed, &[]);
         for (lsn, entry) in best_log.iter().enumerate() {
             let Some(c) = *entry else {
                 continue;
@@ -368,33 +462,8 @@ impl SectorLogFtl {
                     written_at: c.written_at,
                 },
             );
-            let blk = &mut ftl.log_blocks[c.block as usize];
-            blk.valid[(c.page * ftl.nsub + u32::from(c.slot)) as usize] = true;
-            blk.valid_count += 1;
-        }
-        ftl.log_free = ftl
-            .log_blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.retired && b.programmed_pages == 0)
-            .map(|(i, _)| i as u32)
-            .collect();
-        // Resume one partially programmed log block per chip as the active
-        // append point; close any extras so GC can eventually merge them.
-        for a in &mut ftl.log_actives {
-            *a = None;
-        }
-        for i in 0..ftl.log_blocks.len() {
-            let b = &ftl.log_blocks[i];
-            if b.retired || b.programmed_pages == 0 || b.programmed_pages >= ftl.pages_per_block {
-                continue;
-            }
-            let chip = b.chip as usize;
-            if ftl.log_actives[chip].is_none() {
-                ftl.log_actives[chip] = Some(i as u32);
-            } else {
-                ftl.log_blocks[i].programmed_pages = ftl.pages_per_block;
-            }
+            let ptr = ftl.log.pack(c.block, c.page, u32::from(c.slot));
+            ftl.log.set_valid(ptr);
         }
         ftl.seq = max_seq;
         ftl
@@ -405,58 +474,26 @@ impl SectorLogFtl {
     }
 
     /// Allocation-state digest for the crash harness's idempotence check:
-    /// log-region free/retired/active blocks and fill, plus the data
-    /// region's own fingerprint. Simulated times are excluded: two mounts
-    /// of the same flash image happen at different clocks but must land in
-    /// the same state.
+    /// the log region's fingerprint, then the data region's (see
+    /// `BlockPool::pool_fingerprint`).
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
-        // Keyed by device-global block index: local positions are a mount
-        // artifact, and retired blocks drop out of a remount entirely.
-        let mut out = Vec::new();
-        let mut free: Vec<u64> = self
-            .log_free
-            .iter()
-            .map(|&b| u64::from(self.log_blocks[b as usize].gbi))
-            .collect();
-        free.sort_unstable();
-        out.extend(free);
-        out.push(u64::MAX);
-        for a in &self.log_actives {
-            out.push(a.map_or(u64::MAX - 1, |b| u64::from(self.log_blocks[b as usize].gbi)));
-        }
-        out.push(u64::MAX);
-        let mut live: Vec<[u64; 3]> = self
-            .log_blocks
-            .iter()
-            .filter(|b| !b.retired)
-            .map(|b| {
-                [
-                    u64::from(b.gbi),
-                    u64::from(b.programmed_pages),
-                    u64::from(b.valid_count),
-                ]
-            })
-            .collect();
-        live.sort_unstable();
-        for b in live {
-            out.extend(b);
-        }
+        let mut out = self.log.pool_fingerprint();
         out.push(u64::MAX);
         out.extend(self.data.pool_fingerprint());
         out
     }
 
-    /// Takes a log block out of service: never allocated, never a victim.
-    fn retire_log_block(&mut self, local: u32) {
-        self.log_blocks[local as usize].retired = true;
-        if let Some(pos) = self.log_free.iter().position(|&f| f == local) {
-            self.log_free.swap_remove(pos);
-        }
-        for a in &mut self.log_actives {
-            if *a == Some(local) {
-                *a = None;
-            }
-        }
+    /// Asserts both regions' pool invariants (see
+    /// [`BlockPool::check_invariants`]); the log's map is the sparse log
+    /// map. Intended for tests; panics on violation.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        self.data.check_invariants([]);
+        self.log.check_invariants(
+            self.log_map
+                .iter()
+                .map(|(_, e)| self.log.pack(e.block, e.page, u32::from(e.slot))),
+        );
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -464,191 +501,62 @@ impl SectorLogFtl {
         self.seq
     }
 
-    /// Effective P/E of a log block: oxide-stress based under adaptive
-    /// erase, identical to the raw erase count otherwise.
-    fn log_block_pe(&self, local: u32) -> u32 {
-        let gbi = self.log_blocks[local as usize].gbi;
-        self.ssd
-            .device()
-            .effective_pe(self.ssd.geometry().block_addr(gbi))
-    }
-
-    /// With wear leveling on, trades the hottest erased log block for the
-    /// data region's coldest free block. The log pool churns orders of
-    /// magnitude faster than data blocks pinned under cold pages, so
-    /// without this cross-region exchange the handful of log blocks absorb
-    /// the device's whole erase budget on their own.
-    /// Static wear leveling for the log region: a log block packed with
-    /// valid cold sectors is never a profitable merge victim, so it can pin
-    /// a lightly-worn block forever. When the fleet-wide effective-wear
-    /// spread exceeds the threshold, the coldest such parked block is
-    /// force-merged so it rejoins the erase rotation. At most one block per
-    /// call; metered from `maintain`.
-    fn log_wear_rotate(&mut self, issue: SimTime) -> SimTime {
-        if !self.wear_leveling || self.reliability.end_of_life() || self.ssd.halted() {
-            return issue;
-        }
-        let mut max_pe = self
-            .data
-            .wear_spread(&self.ssd)
-            .map(|(_, hi)| hi)
-            .unwrap_or(0);
-        for (i, b) in self.log_blocks.iter().enumerate() {
-            if !b.retired {
-                max_pe = max_pe.max(self.log_block_pe(i as u32));
-            }
-        }
-        let cold = self
-            .log_blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && !self.log_actives.contains(&Some(*i as u32))
-                    && b.programmed_pages >= self.pages_per_block
-            })
-            .min_by_key(|(i, _)| self.log_block_pe(*i as u32))
-            .map(|(i, _)| i as u32);
-        let Some(victim) = cold else { return issue };
-        if max_pe.saturating_sub(self.log_block_pe(victim)) <= self.wear_delta {
-            return issue;
-        }
-        self.stats.wear_level_migrations += 1;
-        self.merge_block(victim, issue).unwrap_or(issue)
-    }
-
-    fn maybe_log_wear_swap(&mut self) {
-        if !self.wear_leveling {
-            return;
-        }
-        let Some(pos) =
-            (0..self.log_free.len()).max_by_key(|&p| self.log_block_pe(self.log_free[p]))
-        else {
-            return;
+    /// The log pool, its merge routine and the device, borrowed apart so
+    /// the pool can run merges.
+    fn merge_parts(&mut self) -> (&mut BlockPool, LogMerge<'_>, &mut Ssd, &mut FtlStats) {
+        let SectorLogFtl {
+            ssd,
+            data,
+            log,
+            log_map,
+            stats,
+            reliability,
+            slots_scratch,
+            oobs_scratch,
+            lpns_scratch,
+            wear_delta,
+            ..
+        } = self;
+        let merge = LogMerge {
+            data,
+            log_map,
+            reliability,
+            slots: slots_scratch,
+            oobs: oobs_scratch,
+            lpns: lpns_scratch,
+            wear_delta: *wear_delta,
         };
-        let local = self.log_free[pos];
-        let worn_gbi = self.log_blocks[local as usize].gbi;
-        let Some(fresh_gbi) = self
-            .data
-            .swap_free_block(worn_gbi, self.wear_delta, &self.ssd)
-        else {
-            return;
-        };
-        self.retire_log_block(local);
-        let chip = fresh_gbi / self.ssd.geometry().blocks_per_chip;
-        self.log_blocks.push(LogBlock::new(
-            fresh_gbi,
-            chip,
-            self.pages_per_block,
-            self.nsub,
-        ));
-        self.log_free.push((self.log_blocks.len() - 1) as u32);
-        self.stats.wear_swaps += 1;
-    }
-
-    /// Whole log pages still appendable without a merge: room left in the
-    /// open log blocks plus every block in the log free pool.
-    fn allocatable_log_pages(&self) -> u64 {
-        let mut pages = self.log_free.len() as u64 * u64::from(self.pages_per_block);
-        for a in self.log_actives.iter().flatten() {
-            pages +=
-                u64::from(self.pages_per_block - self.log_blocks[*a as usize].programmed_pages);
-        }
-        pages
-    }
-
-    fn unmap_log(&mut self, lsn: u64) {
-        if let Some(e) = self.log_map.remove(lsn) {
-            let blk = &mut self.log_blocks[e.block as usize];
-            let idx = (e.page * self.nsub + u32::from(e.slot)) as usize;
-            debug_assert!(blk.valid[idx]);
-            blk.valid[idx] = false;
-            blk.valid_count -= 1;
-        }
-    }
-
-    /// Allocates the next whole log page, striped across chips.
-    fn alloc_log_page(&mut self) -> (u32, u32) {
-        let chips = self.log_actives.len();
-        for i in 0..chips {
-            let chip = (self.rr + i) % chips;
-            let usable = match self.log_actives[chip] {
-                Some(b) => self.log_blocks[b as usize].programmed_pages < self.pages_per_block,
-                None => false,
-            };
-            if !usable {
-                // With wear leveling, refills pick the chip's least-worn
-                // free log block so erase cycles spread across the region;
-                // otherwise the first pool entry (seed behavior).
-                let pick = if self.wear_leveling {
-                    self.log_free
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &b)| self.log_blocks[b as usize].chip as usize == chip)
-                        .min_by_key(|(_, &b)| (self.log_block_pe(b), b))
-                        .map(|(p, _)| p)
-                } else {
-                    self.log_free
-                        .iter()
-                        .position(|&b| self.log_blocks[b as usize].chip as usize == chip)
-                };
-                match pick {
-                    Some(p) => self.log_actives[chip] = Some(self.log_free.swap_remove(p)),
-                    None => continue,
-                }
-            }
-            let block = self.log_actives[chip].expect("just ensured");
-            let page = self.log_blocks[block as usize].programmed_pages;
-            let blk = &mut self.log_blocks[block as usize];
-            blk.programmed_pages += 1;
-            if blk.programmed_pages >= self.pages_per_block && blk.closed_seq == 0 {
-                blk.closed_seq = self.closed_seq_counter;
-                self.closed_seq_counter += 1;
-            }
-            self.rr = chip + 1;
-            return (block, page);
-        }
-        panic!("sector log: no free log block on any chip");
+        (log, merge, ssd, stats)
     }
 
     /// Appends up to `N_sub` sectors of one chunk into one log page. A
     /// program that reports status fail is retried on the next log page.
     fn log_append(&mut self, group: &[(u64, bool)], issue: SimTime) -> SimTime {
         debug_assert!(!group.is_empty() && group.len() <= self.nsub as usize);
-        let mut now = self.ensure_log_space(issue);
-        let mut oobs: Vec<Option<Oob>> = vec![None; self.nsub as usize];
+        let now = self.ensure_log_space(issue);
+        let mut oobs = std::mem::take(&mut self.oobs_scratch);
+        oobs.clear();
+        oobs.resize(self.nsub as usize, None);
         for (slot, &(lsn, _)) in group.iter().enumerate() {
             let seq = self.next_seq();
             oobs[slot] = Some(Oob { lsn, seq });
         }
-        let (block, page, done) = loop {
-            if self.ssd.halted() {
-                // Power is off: with log GC fenced the free pool may be
-                // empty, so bail out before alloc_log_page can panic.
-                return now;
-            }
-            if self.allocatable_log_pages() == 0 {
-                // End of life: the log region has no appendable page left.
-                // Drop the append (old copies stay mapped) and latch the
-                // refusal so subsequent writes are dropped up front.
-                self.reliability.latch_end_of_life(&mut self.stats);
-                return now;
-            }
-            let (block, page) = self.alloc_log_page();
-            let gbi = self.log_blocks[block as usize].gbi;
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
-            match self.ssd.program_full(addr, &oobs, now) {
-                Ok(done) => break (block, page, done),
-                Err(f) if f.error == esp_nand::NandError::ProgramFailed => {
-                    self.stats.program_failures += 1;
-                    self.stats.write_retries += 1;
-                    now = f.at;
+        let programmed = self.log.program(&oobs, &mut self.ssd, &mut self.stats, now);
+        self.oobs_scratch = oobs;
+        let (block, page, done) = match programmed {
+            Ok(at) => at,
+            Err(now) => {
+                if !self.ssd.halted() {
+                    // End of life: the log region has no appendable page
+                    // left. Drop the append (old copies stay mapped) and
+                    // latch the refusal so subsequent writes are dropped.
+                    self.reliability.latch_end_of_life(&mut self.stats);
                 }
-                Err(f) => panic!("log page is clean: {f}"),
+                return now;
             }
         };
         for (slot, &(lsn, _)) in group.iter().enumerate() {
-            self.unmap_log(lsn);
+            unmap_log(&mut self.log, &mut self.log_map, lsn);
             self.log_map.insert(
                 lsn,
                 SubEntry {
@@ -659,9 +567,8 @@ impl SectorLogFtl {
                     written_at: done,
                 },
             );
-            let blk = &mut self.log_blocks[block as usize];
-            blk.valid[(page * self.nsub) as usize + slot] = true;
-            blk.valid_count += 1;
+            let ptr = self.log.pack(block, page, slot as u32);
+            self.log.set_valid(ptr);
         }
         self.stats.flash_sectors_consumed += u64::from(SECTORS_PER_PAGE);
         let share = f64::from(SECTORS_PER_PAGE) / group.len() as f64;
@@ -673,16 +580,19 @@ impl SectorLogFtl {
         done
     }
 
+    /// Merges log victims until the log's free pool is back at its
+    /// watermark. Log pressure never sheds the watermark: when the data
+    /// region cannot absorb a merge, end of life latches instead.
     fn ensure_log_space(&mut self, issue: SimTime) -> SimTime {
         let mut now = issue;
-        while !self.ssd.halted() && (self.log_free.len() as u32) < self.watermark {
+        while !self.ssd.halted() && self.log.free_blocks() < self.log.watermark() {
             // A shrunken log region (retired bad blocks) may dip below the
             // watermark before any block has filled; merge what exists and
             // let the allocator keep appending to the open blocks.
-            if !self.has_log_victim() {
+            let Some(victim) = self.log.pick_victim(&self.ssd) else {
                 break;
-            }
-            match self.merge_victim(now) {
+            };
+            match self.merge_block(victim, now) {
                 Some(done) => now = done,
                 None => {
                     // The data region is exhausted, so the merge could not
@@ -696,191 +606,13 @@ impl SectorLogFtl {
         now
     }
 
-    fn has_log_victim(&self) -> bool {
-        self.log_blocks.iter().enumerate().any(|(i, b)| {
-            !b.retired
-                && !self.log_actives.contains(&Some(i as u32))
-                && b.programmed_pages >= self.pages_per_block
-        })
-    }
-
-    /// Picks a merge victim among full log blocks via the configured
-    /// [`GcPolicyKind`], with the wear-leveling slack re-rank composed on
-    /// top (see [`crate::select_victim`]).
-    fn pick_log_victim(&self) -> Option<u32> {
-        let subs_per_block = self.pages_per_block * self.nsub;
-        let candidates: Vec<VictimCandidate> = self
-            .log_blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && !self.log_actives.contains(&Some(*i as u32))
-                    && b.programmed_pages >= self.pages_per_block
-            })
-            .map(|(i, b)| VictimCandidate {
-                index: i as u32,
-                valid: b.valid_count,
-                capacity: subs_per_block,
-                age: self.closed_seq_counter.saturating_sub(b.closed_seq),
-                wear: if self.wear_leveling {
-                    self.log_block_pe(i as u32)
-                } else {
-                    0
-                },
-            })
-            .collect();
-        select_victim(
-            self.gc_policy,
-            SelectOpts::standard(self.wear_leveling),
-            &candidates,
-        )
-    }
-
-    /// Log GC: full merge — every live sector of the victim (and every
-    /// other live log copy of the same logical pages) is read-modify-
-    /// written back into the data region; the victim is erased. Returns
-    /// `None` when the data region was too exhausted to drain the victim
-    /// (the log copies stay where they are, nothing is erased).
-    fn merge_victim(&mut self, issue: SimTime) -> Option<SimTime> {
-        let victim = self.pick_log_victim().expect("sector log GC: no victim");
-        self.merge_block(victim, issue)
-    }
-
-    /// Merges one specific log block back into the data region. Shared by
-    /// normal log GC (profitable victim) and static wear leveling (coldest
-    /// parked block).
+    /// Merges one log block back into the data region and erases it.
+    /// Returns `None` when the data region was too exhausted to drain the
+    /// victim (the log copies stay where they are, nothing is erased).
     fn merge_block(&mut self, victim: u32, issue: SimTime) -> Option<SimTime> {
-        self.stats.gc_invocations += 1;
-        let valid = self.log_blocks[victim as usize].valid_count;
-        self.trace.emit(|| {
-            TraceEvent::new(issue.as_nanos(), "gc.collect")
-                .tag("log_merge")
-                .field("block", u64::from(victim))
-                .field("valid_sectors", u64::from(valid))
-        });
-        let mut now = issue;
-        // Collect the victim's live sectors.
-        let gbi = self.log_blocks[victim as usize].gbi;
-        let mut lpns: Vec<u64> = Vec::new();
-        for page in 0..self.pages_per_block {
-            let any = (0..self.nsub)
-                .any(|s| self.log_blocks[victim as usize].valid[(page * self.nsub + s) as usize]);
-            if !any {
-                continue;
-            }
-            let addr = self.ssd.geometry().block_addr(gbi).page(page);
-            now = self.ssd.read_full_into(addr, now, &mut self.slots_scratch);
-            if self.ssd.halted() {
-                // Power died mid-merge: surviving log copies stay where
-                // they are on flash; this half-done merge dies with DRAM.
-                return Some(now);
-            }
-            for (slot, r) in self.slots_scratch.iter().enumerate() {
-                if self.log_blocks[victim as usize].valid[(page * self.nsub) as usize + slot] {
-                    let oob = r.as_ref().expect("valid log sector must be readable");
-                    lpns.push(oob.lsn / u64::from(SECTORS_PER_PAGE));
-                }
-            }
-        }
-        lpns.sort_unstable();
-        lpns.dedup();
-        for lpn in lpns {
-            now = self.merge_lpn(lpn, now);
-        }
-        if self.log_blocks[victim as usize].valid_count > 0 {
-            // The data region ran out of space mid-merge: the remaining
-            // log entries are sole copies, so the victim must not be
-            // erased. The caller degrades to end-of-life handling.
-            return if self.ssd.halted() { Some(now) } else { None };
-        }
-        let blk_addr = self.ssd.geometry().block_addr(gbi);
-        match self.ssd.erase(blk_addr, now) {
-            Ok(done) => {
-                now = done;
-                let b = &mut self.log_blocks[victim as usize];
-                b.valid.fill(false);
-                b.programmed_pages = 0;
-                b.closed_seq = 0;
-                self.log_free.push(victim);
-                self.maybe_log_wear_swap();
-            }
-            Err(f) if f.error == esp_nand::NandError::EraseFailed => {
-                // Grown bad log block: all live sectors were merged into
-                // the data region above, so retiring it loses nothing.
-                now = f.at;
-                let b = &mut self.log_blocks[victim as usize];
-                b.valid.fill(false);
-                self.retire_log_block(victim);
-                self.stats.erase_failures += 1;
-                self.stats.blocks_retired += 1;
-            }
-            Err(f) => panic!("erase log block: {f}"),
-        }
-        Some(now)
-    }
-
-    /// Full merge of one logical page: gather its sectors (live log copies
-    /// first, then the old data-region page), program a fresh data page,
-    /// and drop the log entries.
-    fn merge_lpn(&mut self, lpn: u64, issue: SimTime) -> SimTime {
-        let page_sz = u64::from(SECTORS_PER_PAGE);
-        self.oobs_scratch.clear();
-        self.oobs_scratch.resize(SECTORS_PER_PAGE as usize, None);
-        let mut now = issue;
-        let mut from_log = 0u64;
-        for slot in 0..u64::from(SECTORS_PER_PAGE) {
-            let lsn = lpn * page_sz + slot;
-            if let Some(e) = self.log_map.get(lsn) {
-                let gbi = self.log_blocks[e.block as usize].gbi;
-                let addr = self
-                    .ssd
-                    .geometry()
-                    .block_addr(gbi)
-                    .page(e.page)
-                    .subpage(e.slot);
-                let (r, t) = self.ssd.read_subpage(addr, now);
-                now = t;
-                note_read_result(&r, lsn, &mut self.stats);
-                if let Ok(oob) = r {
-                    self.oobs_scratch[slot as usize] = Some(oob);
-                    from_log += 1;
-                }
-            }
-        }
-        if let Some(ptr) = self.data.lookup(lpn) {
-            let addr = self.data.page_addr(ptr, &self.ssd);
-            now = self.ssd.read_full_into(addr, now, &mut self.slots_scratch);
-            for (slot, r) in self.slots_scratch.iter().enumerate() {
-                if self.oobs_scratch[slot].is_none() {
-                    if let Ok(oob) = r {
-                        self.oobs_scratch[slot] = Some(*oob);
-                    }
-                }
-            }
-            self.stats.rmw_operations += 1;
-        }
-        now = match self.data.try_program_page(
-            lpn,
-            &self.oobs_scratch,
-            &mut self.ssd,
-            &mut self.stats,
-            now,
-        ) {
-            Ok(t) => t,
-            Err(_) => {
-                // Data region exhausted: the log entries are sole copies,
-                // so they stay mapped; writes degrade to refusal.
-                self.reliability.latch_end_of_life(&mut self.stats);
-                return now;
-            }
-        };
-        for slot in 0..page_sz {
-            self.unmap_log(lpn * page_sz + slot);
-        }
-        self.stats.gc_copied_sectors += from_log;
-        self.stats.gc_flash_sectors += u64::from(SECTORS_PER_PAGE);
-        now
+        let (log, mut merge, ssd, stats) = self.merge_parts();
+        let now = log.collect(&mut merge, victim, ssd, stats, issue);
+        (self.log.valid_count(victim) == 0 || self.ssd.halted()).then_some(now)
     }
 
     /// Flushes chunks: aligned 16 KB units go straight to the data region,
@@ -888,12 +620,13 @@ impl SectorLogFtl {
     fn flush_chunks(&mut self, chunks: &mut Vec<FlushChunk>, issue: SimTime) -> SimTime {
         let page_sz = u64::from(SECTORS_PER_PAGE);
         let mut done = issue;
+        let mut residues = std::mem::take(&mut self.residues_scratch);
         for chunk in chunks.drain(..) {
             let (lo, hi) = (chunk.start_lsn, chunk.end_lsn());
             let aligned_lo = lo.div_ceil(page_sz) * page_sz;
             let aligned_hi = (hi / page_sz) * page_sz;
             let origin = |lsn: u64| chunk.origins[(lsn - chunk.start_lsn) as usize];
-            let mut residues: Vec<(u64, bool)> = Vec::new();
+            residues.clear();
             if aligned_lo + page_sz <= aligned_hi {
                 residues.extend((lo..aligned_lo).map(|l| (l, origin(l))));
                 for lpn in aligned_lo / page_sz..aligned_hi / page_sz {
@@ -923,7 +656,7 @@ impl SectorLogFtl {
                     done = done.max(t);
                     for slot in 0..page_sz {
                         let lsn = lpn * page_sz + slot;
-                        self.unmap_log(lsn);
+                        unmap_log(&mut self.log, &mut self.log_map, lsn);
                         if origin(lsn) {
                             self.stats.small_waf_flash_sectors += 1.0;
                         }
@@ -939,6 +672,7 @@ impl SectorLogFtl {
             }
             self.buffer.recycle(chunk);
         }
+        self.residues_scratch = residues;
         done
     }
 }
@@ -953,17 +687,17 @@ impl Ftl for SectorLogFtl {
     }
 
     fn enable_tracing(&mut self, capacity: usize) {
-        self.trace.enable(capacity);
+        self.log.enable_tracing(capacity);
         self.data.enable_tracing(capacity);
         self.ssd.enable_tracing(capacity);
     }
 
     fn events(&self) -> Vec<TraceEvent> {
-        merge_events(&[&self.trace, self.data.trace(), self.ssd.trace()])
+        merge_events(&[self.log.trace(), self.data.trace(), self.ssd.trace()])
     }
 
     fn events_dropped(&self) -> u64 {
-        self.trace.dropped() + self.data.trace().dropped() + self.ssd.trace().dropped()
+        self.log.trace().dropped() + self.data.trace().dropped() + self.ssd.trace().dropped()
     }
 
     fn write(&mut self, lsn: u64, sectors: u32, sync: bool, issue: SimTime) -> SimTime {
@@ -1019,19 +753,16 @@ impl Ftl for SectorLogFtl {
         for lpn in lo / page_sz..=(hi - 1) / page_sz {
             let s_lo = lo.max(lpn * page_sz);
             let s_hi = hi.min((lpn + 1) * page_sz);
-            let mut from_data: Vec<u64> = Vec::new();
+            // At most one page's worth of sectors: a stack buffer keeps
+            // this per-page loop allocation-free.
+            let mut from_data = [0u64; SECTORS_PER_PAGE as usize];
+            let mut n = 0usize;
             for s in s_lo..s_hi {
                 if self.buffer.contains(s) {
                     continue;
                 }
                 if let Some(e) = self.log_map.get(s) {
-                    let gbi = self.log_blocks[e.block as usize].gbi;
-                    let addr = self
-                        .ssd
-                        .geometry()
-                        .block_addr(gbi)
-                        .page(e.page)
-                        .subpage(e.slot);
+                    let addr = self.log.page_of(e.block, e.page, &self.ssd).subpage(e.slot);
                     let (r, effort, t) = self.ssd.read_subpage_graded(addr, issue);
                     faulted |= note_read_result(&r, s, &mut self.stats);
                     if self.reliability.wants_reclaim(effort) {
@@ -1039,21 +770,22 @@ impl Ftl for SectorLogFtl {
                     }
                     done = done.max(t);
                 } else {
-                    from_data.push(s);
+                    from_data[n] = s;
+                    n += 1;
                 }
             }
-            if from_data.is_empty() {
+            if n == 0 {
                 continue;
             }
             let Some(ptr) = self.data.lookup(lpn) else {
                 continue;
             };
             let addr = self.data.page_addr(ptr, &self.ssd);
-            let effort = if from_data.len() >= 2 {
+            let effort = if n >= 2 {
                 let (effort, t) =
                     self.ssd
                         .read_full_graded_into(addr, issue, &mut self.slots_scratch);
-                for s in from_data {
+                for &s in &from_data[..n] {
                     faulted |= note_read_result(
                         &self.slots_scratch[(s % page_sz) as usize],
                         s,
@@ -1083,8 +815,9 @@ impl Ftl for SectorLogFtl {
         for (lpn, via_log) in reclaim {
             done = if via_log {
                 let at = done.as_nanos();
-                let t = self.merge_lpn(lpn, done);
-                self.trace.emit(|| {
+                let (log, mut merge, ssd, stats) = self.merge_parts();
+                let t = merge.merge_lpn(log, lpn, ssd, stats, done);
+                self.log.trace_mut().emit(|| {
                     TraceEvent::new(at, "gc.reclaim")
                         .tag("read_reclaim")
                         .field("lpn", lpn)
@@ -1108,17 +841,30 @@ impl Ftl for SectorLogFtl {
         let reads = self.ssd.device().stats().reads;
         if self.reliability.patrol_due(reads) {
             if let Some(limit) = self.reliability.scrub_limit() {
-                self.data
-                    .scrub_disturbed(&mut self.ssd, &mut self.stats, limit, now);
+                self.data.scrub_disturbed(
+                    &mut PageCopy,
+                    &mut self.ssd,
+                    &mut self.stats,
+                    limit,
+                    now,
+                );
             }
         }
         if self.data.wear_leveling() {
             let erases = self.ssd.device().stats().erases;
             if erases >= self.next_wear_check {
                 self.next_wear_check = erases + 16;
+                let delta = self.wear_delta;
                 self.data
-                    .wear_rotate(&mut self.ssd, &mut self.stats, now, self.wear_delta);
-                self.log_wear_rotate(now);
+                    .wear_rotate(&mut PageCopy, &mut self.ssd, &mut self.stats, now, delta);
+                // A log block packed with valid cold sectors is never a
+                // profitable merge victim, so it can pin a lightly-worn
+                // block forever; rotation force-merges it. End of life
+                // stops it (the merge would have nowhere to land).
+                if !self.reliability.end_of_life() {
+                    let (log, mut merge, ssd, stats) = self.merge_parts();
+                    log.wear_rotate(&mut merge, ssd, stats, now, delta);
+                }
             }
         }
     }
@@ -1139,24 +885,27 @@ impl Ftl for SectorLogFtl {
             return;
         }
         // Refill the data-region pool first, then pre-merge log blocks: a
-        // merge only starts if its estimate fits the remaining window.
+        // merge only starts if its estimate fits the remaining window. The
+        // log never sheds its watermark, so it is still the configured one.
+        let target = self.log.watermark() + 2;
         let mut now = self.data.background_collect(
+            &mut PageCopy,
             &mut self.ssd,
             &mut self.stats,
             from,
             until,
-            self.watermark + 2,
+            target,
         );
         use esp_nand::OpKind;
         let per_page = self.ssd.device().op_cost(OpKind::ReadFull).total()
             + self.ssd.device().op_cost(OpKind::ProgramFull).total();
         let erase = self.ssd.device().op_cost(OpKind::Erase).total();
-        while !self.ssd.halted() && (self.log_free.len() as u32) < self.watermark + 2 {
-            let Some(victim) = self.pick_log_victim() else {
+        while !self.ssd.halted() && self.log.free_blocks() < target {
+            let Some(victim) = self.log.pick_victim(&self.ssd) else {
                 break;
             };
-            let valid = self.log_blocks[victim as usize].valid_count;
-            if valid >= self.pages_per_block * self.nsub {
+            let valid = self.log.valid_count(victim);
+            if valid >= self.log.slots_per_block() {
                 break; // nothing reclaimable
             }
             let estimate = per_page * u64::from(valid.div_ceil(self.nsub).max(1) + 1) + erase;
@@ -1173,7 +922,7 @@ impl Ftl for SectorLogFtl {
     fn trim(&mut self, lsn: u64, sectors: u32) {
         self.buffer.discard(lsn, sectors);
         for s in lsn..lsn + u64::from(sectors) {
-            self.unmap_log(s);
+            unmap_log(&mut self.log, &mut self.log_map, s);
         }
         let page_sz = u64::from(SECTORS_PER_PAGE);
         let first_full = lsn.div_ceil(page_sz);
@@ -1191,25 +940,16 @@ impl Ftl for SectorLogFtl {
         if self.buffer.contains(lsn) {
             return None;
         }
-        let state = if let Some(e) = self.log_map.peek(lsn) {
-            let gbi = self.log_blocks[e.block as usize].gbi;
-            let addr = self
-                .ssd
-                .geometry()
-                .block_addr(gbi)
-                .page(e.page)
-                .subpage(e.slot);
-            self.ssd.device().subpage_state(addr)
+        let page_sz = u64::from(SECTORS_PER_PAGE);
+        let addr = if let Some(e) = self.log_map.peek(lsn) {
+            self.log.page_of(e.block, e.page, &self.ssd).subpage(e.slot)
         } else {
-            let page_sz = u64::from(SECTORS_PER_PAGE);
             let ptr = self.data.lookup(lsn / page_sz)?;
-            let addr = self
-                .data
+            self.data
                 .page_addr(ptr, &self.ssd)
-                .subpage((lsn % page_sz) as u8);
-            self.ssd.device().subpage_state(addr)
+                .subpage((lsn % page_sz) as u8)
         };
-        match state {
+        match self.ssd.device().subpage_state(addr) {
             esp_nand::SubpageState::Written(w) => w.oob.filter(|o| o.lsn == lsn).map(|o| o.seq),
             _ => None,
         }

@@ -10,7 +10,7 @@
 //!   any) into the new level, so no valid data is ever destroyed. At most
 //!   one subpage per physical page is ever valid.
 //! * **Full-page region** (80 %): managed exactly like cgmFTL
-//!   ([`FullRegionEngine`]).
+//!   ([`BlockPool`]).
 //!
 //! Data placement (§4.1): flushed writes shorter than a full page go to the
 //! subpage region; page-aligned 16 KB units go to the full-page region;
@@ -26,9 +26,9 @@ use esp_sim::{merge_events, EventBuffer, EventSink, SimDuration, SimTime, TraceE
 use esp_ssd::Ssd;
 use esp_workload::SECTORS_PER_PAGE;
 
+use crate::block_pool::{BlockPool, PageCopy};
 use crate::buffer::{FlushChunk, WriteBuffer};
 use crate::config::{EvictionPolicy, FtlConfig};
-use crate::full_region::FullRegionEngine;
 use crate::gc_policy::{select_victim, GcPolicyKind, SelectOpts, VictimCandidate};
 use crate::read_path::{note_read_result, ReadReliability};
 use crate::runner::Ftl;
@@ -94,7 +94,7 @@ impl SubBlock {
 #[derive(Debug, Clone)]
 pub struct SubFtl {
     ssd: Ssd,
-    full: FullRegionEngine,
+    full: BlockPool,
     blocks: Vec<SubBlock>,
     /// One active (open) block per chip, so subpage programs stripe across
     /// chips (the paper develops subFTL "to maximize I/O parallelism of a
@@ -138,6 +138,8 @@ pub struct SubFtl {
     /// grouped host reads, so those hot paths allocate nothing per page.
     slots_scratch: Vec<Result<Oob, esp_nand::ReadFault>>,
     oobs_scratch: Vec<Option<Oob>>,
+    /// Reused subpage-region GC victim candidate list.
+    victims: Vec<VictimCandidate>,
     chunks_scratch: Vec<FlushChunk>,
 }
 
@@ -192,7 +194,7 @@ impl SubFtl {
         }
         let logical_sectors = config.logical_sectors();
         let lpn_count = logical_sectors / u64::from(SECTORS_PER_PAGE);
-        let mut full = FullRegionEngine::new(
+        let mut full = BlockPool::new(
             full_gbis,
             g.pages_per_block,
             g.blocks_per_chip,
@@ -235,6 +237,7 @@ impl SubFtl {
             trace: EventBuffer::disabled(),
             slots_scratch: Vec::new(),
             oobs_scratch: Vec::new(),
+            victims: Vec::new(),
             chunks_scratch: Vec::new(),
         };
         // Exclude factory-marked and previously grown bad blocks from
@@ -339,7 +342,7 @@ impl SubFtl {
         let logical_sectors = config.logical_sectors();
         let page_sz = u64::from(SECTORS_PER_PAGE);
         let lpn_count = logical_sectors / page_sz;
-        let mut full = FullRegionEngine::new(
+        let mut full = BlockPool::new(
             full_gbis.clone(),
             g.pages_per_block,
             bpc,
@@ -538,6 +541,7 @@ impl SubFtl {
             trace: EventBuffer::disabled(),
             slots_scratch: Vec::new(),
             oobs_scratch: Vec::new(),
+            victims: Vec::new(),
             chunks_scratch: Vec::new(),
         };
         if evacuate {
@@ -645,7 +649,7 @@ impl SubFtl {
     /// state.
     pub(crate) fn pool_fingerprint(&self) -> Vec<u64> {
         // Keyed by device-global block index (see
-        // `FullRegionEngine::pool_fingerprint`): local positions are a
+        // `BlockPool::pool_fingerprint`): local positions are a
         // mount artifact, and retired blocks drop out on a remount.
         let mut out = Vec::new();
         out.push(u64::from(self.blocks[self.reserve as usize].gbi));
@@ -862,9 +866,9 @@ impl SubFtl {
                 return now;
             };
             now = t;
-            let (page, slot) = {
+            let (page, slot, gbi) = {
                 let blk = &self.blocks[b as usize];
-                (blk.cursor, blk.level)
+                (blk.cursor, blk.level, blk.gbi)
             };
             let addr = self.sub_addr(b, page, slot);
             let occupant = self.blocks[b as usize].page_valid[page as usize];
@@ -904,7 +908,7 @@ impl SubFtl {
                                 TraceEvent::new(at, "sub.lap_migration")
                                     .tag("to_full")
                                     .field("lsn", old_lsn)
-                                    .field("block", u64::from(b))
+                                    .field("block", u64::from(gbi))
                             });
                             now = self.evict_to_full(&[(old_lsn, oob)], now);
                             if self.reliability.end_of_life() {
@@ -930,7 +934,7 @@ impl SubFtl {
                                     TraceEvent::new(at, "sub.lap_migration")
                                         .tag("in_place")
                                         .field("lsn", old_lsn)
-                                        .field("block", u64::from(b))
+                                        .field("block", u64::from(gbi))
                                 });
                                 self.stats.gc_flash_sectors += 1;
                                 self.stats.small_waf_flash_sectors += 1.0;
@@ -1006,37 +1010,41 @@ impl SubFtl {
     /// Picks the subpage-region GC victim among exhausted blocks via the
     /// configured [`GcPolicyKind`], with the wear-leveling slack re-rank
     /// composed on top (see [`crate::select_victim`]).
-    fn pick_sub_victim(&self) -> Option<u32> {
+    fn pick_sub_victim(&mut self) -> Option<u32> {
         let wear_leveling = self.full.wear_leveling();
-        let candidates: Vec<VictimCandidate> = self
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, b)| {
-                !b.retired
-                    && *i as u32 != self.reserve
-                    && !self.actives.contains(&Some(*i as u32))
-                    && u32::from(b.level) == self.nsub
-            })
-            .map(|(i, b)| VictimCandidate {
-                index: i as u32,
-                valid: b.valid_count,
-                capacity: self.pages_per_block,
-                age: self.closed_seq_counter.saturating_sub(b.closed_seq),
-                wear: if wear_leveling {
-                    self.ssd
-                        .device()
-                        .effective_pe(self.ssd.geometry().block_addr(b.gbi))
-                } else {
-                    0
-                },
-            })
-            .collect();
-        select_victim(
+        let mut candidates = std::mem::take(&mut self.victims);
+        candidates.extend(
+            self.blocks
+                .iter()
+                .enumerate()
+                .filter(|(i, b)| {
+                    !b.retired
+                        && *i as u32 != self.reserve
+                        && !self.actives.contains(&Some(*i as u32))
+                        && u32::from(b.level) == self.nsub
+                })
+                .map(|(i, b)| VictimCandidate {
+                    index: i as u32,
+                    valid: b.valid_count,
+                    capacity: self.pages_per_block,
+                    age: self.closed_seq_counter.saturating_sub(b.closed_seq),
+                    wear: if wear_leveling {
+                        self.ssd
+                            .device()
+                            .effective_pe(self.ssd.geometry().block_addr(b.gbi))
+                    } else {
+                        0
+                    },
+                }),
+        );
+        let pick = select_victim(
             self.gc_policy,
             SelectOpts::subpage(wear_leveling),
             &candidates,
-        )
+        );
+        candidates.clear();
+        self.victims = candidates;
+        pick
     }
 
     /// Subpage-region garbage collection (§4.2): pick the block with the
@@ -1071,10 +1079,11 @@ impl SubFtl {
         self.stats.gc_invocations += 1;
         self.stats.gc_subpage_region += 1;
         let valid = self.blocks[victim as usize].valid_count;
+        let gbi = self.blocks[victim as usize].gbi;
         self.trace.emit(|| {
             TraceEvent::new(issue.as_nanos(), "gc.collect")
                 .tag("sub")
-                .field("block", u64::from(victim))
+                .field("block", u64::from(gbi))
                 .field("valid_subpages", u64::from(valid))
         });
         let mut now = issue;
@@ -1555,7 +1564,7 @@ impl SubFtl {
     /// sense count since erase crossed `limit` has its valid subpages
     /// evicted to the full-page region, then is erased (discharging the
     /// accumulated disturb). The full-page region patrols itself via
-    /// [`FullRegionEngine::scrub_disturbed`].
+    /// `BlockPool::scrub_disturbed`.
     fn scrub_disturbed_sub(&mut self, limit: u64, issue: SimTime) {
         let mut now = issue;
         loop {
@@ -1574,11 +1583,12 @@ impl SubFtl {
                 return;
             };
             let victim = victim as u32;
+            let gbi = self.blocks[victim as usize].gbi;
             let at = now.as_nanos();
             self.trace.emit(|| {
                 TraceEvent::new(at, "gc.scrub")
                     .tag("disturb")
-                    .field("block", u64::from(victim))
+                    .field("block", u64::from(gbi))
             });
             // Evacuate live subpages, batched per logical page like
             // `evacuate_reserve`.
@@ -1663,7 +1673,8 @@ impl SubFtl {
     }
 
     /// Asserts the subpage-region structural invariants (one valid subpage
-    /// per page, hash/bitmap agreement, erased reserve). Intended for tests;
+    /// per page, hash/bitmap agreement, erased reserve) and the full-page
+    /// region's pool invariants. Intended for tests;
     /// panics on violation.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
@@ -1690,6 +1701,7 @@ impl SubFtl {
             self.blocks[self.reserve as usize].is_erased(),
             "reserve must stay erased"
         );
+        self.full.check_invariants([]);
     }
 }
 
@@ -1871,8 +1883,13 @@ impl Ftl for SubFtl {
         let reads = self.ssd.device().stats().reads;
         if self.reliability.patrol_due(reads) {
             if let Some(limit) = self.reliability.scrub_limit() {
-                self.full
-                    .scrub_disturbed(&mut self.ssd, &mut self.stats, limit, now);
+                self.full.scrub_disturbed(
+                    &mut PageCopy,
+                    &mut self.ssd,
+                    &mut self.stats,
+                    limit,
+                    now,
+                );
                 self.scrub_disturbed_sub(limit, now);
             }
         }
@@ -1880,8 +1897,13 @@ impl Ftl for SubFtl {
             let erases = self.ssd.device().stats().erases;
             if erases >= self.next_wear_check {
                 self.next_wear_check = erases + 16;
-                self.full
-                    .wear_rotate(&mut self.ssd, &mut self.stats, now, self.wear_delta);
+                self.full.wear_rotate(
+                    &mut PageCopy,
+                    &mut self.ssd,
+                    &mut self.stats,
+                    now,
+                    self.wear_delta,
+                );
                 self.sub_wear_rotate(now);
             }
         }
@@ -1900,7 +1922,7 @@ impl Ftl for SubFtl {
         let SubFtl {
             full, ssd, stats, ..
         } = self;
-        let mut now = full.background_collect(ssd, stats, from, until, 4);
+        let mut now = full.background_collect(&mut PageCopy, ssd, stats, from, until, 4);
         // Pre-erase exhausted subpage-region blocks so foreground writes do
         // not stall on a GC episode mid-burst — but only victims that fit
         // in the window (estimate: one read+program per valid subpage, an

@@ -137,3 +137,53 @@ fn bench_report_round_trips_and_validates() {
     }
     assert!(validate_bench(&broken).is_err());
 }
+
+/// The FTL-level trace field `block` names a device-global block index:
+/// region events of the hybrids name blocks inside their region's share of
+/// every chip (the first `per_chip` blocks of each chip), on every chip.
+#[test]
+fn region_trace_blocks_are_device_global() {
+    let cfg = FtlConfig::tiny();
+    let bpc = u64::from(cfg.geometry.blocks_per_chip);
+    let per_chip = ((bpc as f64 * cfg.subpage_region_fraction).round() as u64).clamp(2, bpc - 1);
+    let region_event = |kind: &str, tag: Option<&str>| {
+        matches!(
+            (kind, tag),
+            ("gc.collect", Some("log_merge" | "sub")) | ("sub.lap_migration", _)
+        )
+    };
+    let ftls: [Box<dyn Ftl>; 2] = [
+        Box::new(SectorLogFtl::new(&cfg)),
+        Box::new(SubFtl::new(&cfg)),
+    ];
+    for mut ftl in ftls {
+        ftl.enable_tracing(1 << 18);
+        let trace = generate(&SyntheticConfig {
+            footprint_sectors: ftl.logical_sectors() / 2,
+            requests: 3_000,
+            r_small: 1.0,
+            r_synch: 1.0,
+            ..SyntheticConfig::default()
+        });
+        run_trace(ftl.as_mut(), &trace);
+        let blocks: Vec<u64> = ftl
+            .events()
+            .iter()
+            .filter(|e| region_event(e.kind, e.tag))
+            .map(|e| e.get("block").expect("region event names its block"))
+            .collect();
+        assert!(!blocks.is_empty(), "{}: no region GC events", ftl.name());
+        for &b in &blocks {
+            assert!(
+                b % bpc < per_chip,
+                "{}: block {b} lies outside the region",
+                ftl.name()
+            );
+        }
+        assert!(
+            blocks.iter().any(|&b| b >= bpc),
+            "{}: region events never named a block past the first chip",
+            ftl.name()
+        );
+    }
+}

@@ -1,8 +1,8 @@
 //! Deterministic long-run soak: tens of thousands of mixed operations —
 //! writes of every size and alignment, syncs, reads, trims, months of
 //! simulated time with maintenance, and a mid-run crash/recovery — against
-//! every FTL, with the no-fault and structural invariants checked
-//! throughout.
+//! every FTL, with the no-fault and structural (block pool and subpage
+//! region) invariants checked throughout.
 
 use esp_core::{CgmFtl, FgmFtl, Ftl, FtlConfig, SectorLogFtl, SubFtl};
 use esp_sim::{Rng, SimDuration, SimTime};
@@ -97,15 +97,15 @@ fn soak_subftl_with_mid_run_recovery() {
 
 #[test]
 fn soak_cgm() {
-    soak(CgmFtl::new(&cfg()), |_| {});
+    soak(CgmFtl::new(&cfg()), |f| f.check_invariants());
 }
 
 #[test]
 fn soak_fgm() {
-    soak(FgmFtl::new(&cfg()), |_| {});
+    soak(FgmFtl::new(&cfg()), |f| f.check_invariants());
 }
 
 #[test]
 fn soak_sector_log() {
-    soak(SectorLogFtl::new(&cfg()), |_| {});
+    soak(SectorLogFtl::new(&cfg()), |f| f.check_invariants());
 }

@@ -185,7 +185,7 @@ fn adaptive_erase_accumulates_fractional_stress() {
 /// shrink over-provisioning, then latch end-of-life and refuse writes —
 /// and every request, before and after death, must complete without a
 /// panic, with monotone completion times, and with reads still serving.
-fn wear_out_soak<F: Ftl>(mut ftl: F, name: &str) {
+fn wear_out_soak<F: Ftl>(mut ftl: F, name: &str, check_invariants: fn(&F)) {
     let logical = ftl.logical_sectors();
     let mut rng = Rng::seed_from(0xDEAD);
     let mut clock = SimTime::ZERO;
@@ -231,6 +231,8 @@ fn wear_out_soak<F: Ftl>(mut ftl: F, name: &str) {
         let done = ftl.read(lsn, 1, clock);
         assert!(done >= clock);
     }
+    // Dying kept the pools' bookkeeping consistent.
+    check_invariants(&ftl);
 }
 
 fn dying_cfg() -> FtlConfig {
@@ -246,22 +248,38 @@ fn dying_cfg() -> FtlConfig {
 
 #[test]
 fn wear_out_soak_cgm() {
-    wear_out_soak(CgmFtl::new(&dying_cfg()), "cgmFTL");
+    wear_out_soak(
+        CgmFtl::new(&dying_cfg()),
+        "cgmFTL",
+        CgmFtl::check_invariants,
+    );
 }
 
 #[test]
 fn wear_out_soak_fgm() {
-    wear_out_soak(FgmFtl::new(&dying_cfg()), "fgmFTL");
+    wear_out_soak(
+        FgmFtl::new(&dying_cfg()),
+        "fgmFTL",
+        FgmFtl::check_invariants,
+    );
 }
 
 #[test]
 fn wear_out_soak_sub() {
-    wear_out_soak(SubFtl::new(&dying_cfg()), "subFTL");
+    wear_out_soak(
+        SubFtl::new(&dying_cfg()),
+        "subFTL",
+        SubFtl::check_invariants,
+    );
 }
 
 #[test]
 fn wear_out_soak_sector_log() {
-    wear_out_soak(SectorLogFtl::new(&dying_cfg()), "sectorLogFTL");
+    wear_out_soak(
+        SectorLogFtl::new(&dying_cfg()),
+        "sectorLogFTL",
+        SectorLogFtl::check_invariants,
+    );
 }
 
 /// Crash sweeps over a near-dead device: with erase failures steadily

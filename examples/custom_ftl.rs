@@ -11,18 +11,18 @@
 //! cargo run --release --example custom_ftl
 //! ```
 
-use esp_storage::ftl::{run_trace_qd, Ftl, FtlConfig, FtlStats, FullRegionEngine, SubFtl};
+use esp_storage::ftl::{run_trace_qd, BlockPool, Ftl, FtlConfig, FtlStats, SubFtl};
 use esp_storage::nand::Oob;
 use esp_storage::sim::SimTime;
 use esp_storage::ssd::Ssd;
 use esp_storage::workload::{generate, SyntheticConfig, SECTORS_PER_PAGE};
 
 /// A minimal append-only page-mapped FTL built on the public pieces:
-/// [`FullRegionEngine`] provides allocation + page map + GC; this type adds
+/// [`BlockPool`] provides allocation + page map + GC; this type adds
 /// only the host-facing policy.
 struct AppendFtl {
     ssd: Ssd,
-    engine: FullRegionEngine,
+    engine: BlockPool,
     stats: FtlStats,
     seq: u64,
     logical_sectors: u64,
@@ -32,7 +32,7 @@ impl AppendFtl {
     fn new(config: &FtlConfig) -> Self {
         let ssd = Ssd::new(config.geometry.clone());
         let logical_sectors = config.logical_sectors();
-        let engine = FullRegionEngine::new(
+        let engine = BlockPool::new(
             (0..config.geometry.block_count()).collect(),
             config.geometry.pages_per_block,
             config.geometry.blocks_per_chip,

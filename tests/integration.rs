@@ -6,6 +6,7 @@ use esp_storage::ftl::{
 };
 use esp_storage::nand::Geometry;
 use esp_storage::sim::{SimDuration, SimTime};
+use esp_storage::ssd::{CrashPoint, Ssd};
 use esp_storage::workload::{generate, Benchmark, SyntheticConfig};
 
 /// A small paper-shaped device: 4 channels × 2 chips.
@@ -274,6 +275,58 @@ fn crash_recovery_round_trip_through_facade() {
     let more = sync_small_trace(cfg.logical_sectors(), 1_000, 78);
     let r = run_trace(&mut recovered, &more);
     assert_eq!(r.stats.read_faults, 0);
+}
+
+/// Background GC on a device whose power was just cut: `idle` must return
+/// (every GC attempt dies at its first read and moves no clock), not spin.
+/// A watchdog thread turns a livelock into a fast failure.
+fn idle_returns_after_power_cut<F: Ftl + Send + 'static>(
+    build: fn(&FtlConfig) -> F,
+    remount: fn(Ssd, &FtlConfig) -> F,
+) {
+    let cfg = FtlConfig {
+        background_gc: true,
+        ..FtlConfig::tiny()
+    };
+    let mut ftl = build(&cfg);
+    let mut t = SimTime::ZERO;
+    for _ in 0..6 {
+        for lsn in 0..ftl.logical_sectors() / 2 {
+            t = ftl.write(lsn, 1, true, t);
+        }
+    }
+    // Remount the image with power due to fail at the next command after
+    // `cut`; the mount scan runs before it.
+    let cut = t + SimDuration::from_secs(1);
+    let mut image = ftl.ssd().clone();
+    image.set_crash_point(CrashPoint::Time(cut));
+    let mut ftl = remount(image, &cfg);
+    let name = ftl.name();
+    ftl.read(0, 1, cut);
+    assert!(
+        ftl.ssd().halted(),
+        "{name}: the read must hit the power cut"
+    );
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        ftl.idle(cut, cut + SimDuration::from_secs(10));
+        let _ = tx.send(());
+    });
+    // A livelocked worker cannot be joined; it dies with the test process.
+    let returned = rx.recv_timeout(std::time::Duration::from_secs(60));
+    assert!(
+        !matches!(returned, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "{name}: idle did not return after a power cut"
+    );
+    worker.join().expect("idle must not panic");
+}
+
+#[test]
+fn background_gc_stops_after_power_cut() {
+    idle_returns_after_power_cut(CgmFtl::new, CgmFtl::recover);
+    idle_returns_after_power_cut(FgmFtl::new, FgmFtl::recover);
+    idle_returns_after_power_cut(SectorLogFtl::new, SectorLogFtl::recover);
+    idle_returns_after_power_cut(SubFtl::new, SubFtl::recover);
 }
 
 #[test]
