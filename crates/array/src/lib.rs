@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::ops::Range;
 
 use esp_core::{Ftl, FtlStats};
 use esp_sim::{SimDuration, SimTime};
@@ -220,6 +221,9 @@ pub struct EspArray {
     /// Host write oracle: last value written per host sector (0 = never).
     expected: Vec<u64>,
     write_counter: u64,
+    /// Reused per-span value buffer (a write's new values, a degraded
+    /// read's reconstruction), so the data path allocates nothing.
+    span: Vec<u64>,
     /// Field-wise sum of shard stats, refreshed after every host op.
     agg: FtlStats,
     array_stats: ArrayStats,
@@ -277,6 +281,7 @@ impl EspArray {
             stored,
             expected,
             write_counter: 0,
+            span: Vec::new(),
             agg: FtlStats::new(),
             array_stats: ArrayStats::default(),
         }
@@ -453,21 +458,18 @@ impl EspArray {
             let base = row * chunk;
             let at = self.rebuild_ready_at;
             let mut t = at;
-            let mut vals = vec![0u64; usize::try_from(chunk).expect("chunk fits usize")];
+            // The spare's image of the row is the XOR of every survivor's.
+            let span = Self::span_range(base, m);
+            self.stored[spare][span.clone()].fill(0);
             for role in 0..self.cfg.shards {
                 if role == dead {
                     continue;
                 }
                 let dev = self.role_dev[role];
                 t = t.max(self.shards[dev].read(base, m, at));
-                for (k, v) in vals.iter_mut().enumerate() {
-                    *v ^= self.stored[dev][usize::try_from(base).expect("sector fits usize") + k];
-                }
+                self.xor_into(spare, dev, span.clone());
             }
             let done = self.shards[spare].write(base, m, true, t);
-            for (k, v) in vals.iter().enumerate() {
-                self.stored[spare][usize::try_from(base).expect("sector fits usize") + k] = *v;
-            }
             self.rebuilt_rows += 1;
             self.array_stats.rebuild_rows_done += 1;
             self.array_stats.reconstructed_sectors += chunk;
@@ -496,22 +498,33 @@ impl EspArray {
     fn write_span(&mut self, host: u64, m: u32, sync: bool, issue: SimTime) -> SimTime {
         // Stamp the oracle first: the host handed us this data, so it is
         // "expected" even if the array then loses it.
-        let mut vals = vec![0u64; m as usize];
-        for (k, v) in vals.iter_mut().enumerate() {
+        let mut vals = std::mem::take(&mut self.span);
+        vals.clear();
+        for k in Self::span_range(host, m) {
             self.write_counter += 1;
-            *v = self.write_counter;
-            self.expected[usize::try_from(host).expect("sector fits usize") + k] = *v;
+            self.expected[k] = self.write_counter;
+            vals.push(self.write_counter);
         }
-        if self.health == ArrayHealth::Failed {
+        let done = if self.health == ArrayHealth::Failed {
             self.array_stats.lost_write_sectors += u64::from(m);
-            return issue;
-        }
+            issue
+        } else {
+            self.store_span(host, &vals, sync, issue)
+        };
+        self.span = vals;
+        done
+    }
+
+    /// Writes `vals` (one span) to the shards that hold it, keeping parity
+    /// current; returns the host-visible completion.
+    fn store_span(&mut self, host: u64, vals: &[u64], sync: bool, issue: SimTime) -> SimTime {
+        let m = u32::try_from(vals.len()).expect("span fits u32");
         let (role, ss, row) = self.locate(host);
-        let si = usize::try_from(ss).expect("sector fits usize");
+        let span = Self::span_range(ss, m);
         let tdev = self.dev_for(role, row);
         if !self.cfg.parity {
             let done = self.shards[tdev].write(ss, m, sync, issue);
-            self.stored[tdev][si..si + m as usize].copy_from_slice(&vals);
+            self.stored[tdev][span].copy_from_slice(vals);
             return if sync { done } else { issue };
         }
         let prole = self.parity_role(row);
@@ -523,42 +536,36 @@ impl EspArray {
             // = XOR(surviving data chunks) ^ new data. The dead shard's
             // image is left frozen — reconstruction never consults it.
             let mut t = issue;
-            let mut newp = vals.clone();
+            self.stored[pdev][span.clone()].copy_from_slice(vals);
             for r in 0..self.cfg.shards {
                 if r == role || r == prole {
                     continue;
                 }
                 let dev = self.dev_for(r, row);
                 t = t.max(self.shards[dev].read(ss, m, issue));
-                for (k, v) in newp.iter_mut().enumerate() {
-                    *v ^= self.stored[dev][si + k];
-                }
+                self.xor_into(pdev, dev, span.clone());
             }
             let done = self.shards[pdev].write(ss, m, sync, t);
-            self.stored[pdev][si..si + m as usize].copy_from_slice(&newp);
             return if sync { done } else { issue };
         }
         if parity_dead {
             // Parity chunk of this row is on the dead shard: plain data
             // write, redundancy for this row is simply gone until rebuild.
             let done = self.shards[tdev].write(ss, m, sync, issue);
-            self.stored[tdev][si..si + m as usize].copy_from_slice(&vals);
+            self.stored[tdev][span].copy_from_slice(vals);
             return if sync { done } else { issue };
         }
         // Healthy read-modify-write parity update: read old data + old
         // parity in parallel, write data immediately, write parity once
-        // both reads are in.
+        // both reads are in. New parity = old parity ^ old data ^ new data.
         let rd = self.shards[tdev].read(ss, m, issue);
         let rp = self.shards[pdev].read(ss, m, issue);
         let t = rd.max(rp);
-        let mut newp = vec![0u64; m as usize];
-        for (k, v) in newp.iter_mut().enumerate() {
-            *v = self.stored[pdev][si + k] ^ self.stored[tdev][si + k] ^ vals[k];
-        }
         let dw = self.shards[tdev].write(ss, m, sync, issue);
         let pw = self.shards[pdev].write(ss, m, sync, t);
-        self.stored[tdev][si..si + m as usize].copy_from_slice(&vals);
-        self.stored[pdev][si..si + m as usize].copy_from_slice(&newp);
+        self.xor_into(pdev, tdev, span.clone());
+        self.stored[tdev][span.clone()].copy_from_slice(vals);
+        self.xor_into(pdev, tdev, span);
         if sync {
             dw.max(pw)
         } else {
@@ -573,16 +580,13 @@ impl EspArray {
             return issue;
         }
         let (role, ss, row) = self.locate(host);
-        let si = usize::try_from(ss).expect("sector fits usize");
-        let hi = usize::try_from(host).expect("sector fits usize");
+        let span = Self::span_range(ss, m);
+        let expected = Self::span_range(host, m);
         if !self.dead_here(role, row) {
             let dev = self.dev_for(role, row);
             let done = self.shards[dev].read(ss, m, issue);
-            for k in 0..m as usize {
-                if self.stored[dev][si + k] != self.expected[hi + k] {
-                    self.array_stats.mismatch_sectors += 1;
-                }
-            }
+            self.array_stats.mismatch_sectors +=
+                Self::mismatches(&self.stored[dev][span], &self.expected[expected]);
             return done;
         }
         // Degraded read: XOR over every surviving chunk of the row (data
@@ -590,23 +594,48 @@ impl EspArray {
         self.array_stats.degraded_reads += 1;
         self.array_stats.reconstructed_sectors += u64::from(m);
         let mut t = issue;
-        let mut vals = vec![0u64; m as usize];
+        let mut vals = std::mem::take(&mut self.span);
+        vals.clear();
+        vals.resize(m as usize, 0);
         for r in 0..self.cfg.shards {
             if r == role {
                 continue;
             }
             let dev = self.dev_for(r, row);
             t = t.max(self.shards[dev].read(ss, m, issue));
-            for (k, v) in vals.iter_mut().enumerate() {
-                *v ^= self.stored[dev][si + k];
+            for (v, s) in vals.iter_mut().zip(&self.stored[dev][span.clone()]) {
+                *v ^= s;
             }
         }
-        for (k, v) in vals.iter().enumerate() {
-            if *v != self.expected[hi + k] {
-                self.array_stats.mismatch_sectors += 1;
-            }
-        }
+        self.array_stats.mismatch_sectors += Self::mismatches(&vals, &self.expected[expected]);
+        self.span = vals;
         t
+    }
+
+    /// Index range of the `m` sectors starting at `start`.
+    fn span_range(start: u64, m: u32) -> Range<usize> {
+        let s = usize::try_from(start).expect("sector fits usize");
+        s..s + m as usize
+    }
+
+    /// `stored[dst][span] ^= stored[src][span]` for two distinct devices.
+    fn xor_into(&mut self, dst: usize, src: usize, span: Range<usize>) {
+        debug_assert_ne!(dst, src);
+        let (d, s) = if dst < src {
+            let (lo, hi) = self.stored.split_at_mut(src);
+            (&mut lo[dst], &hi[0])
+        } else {
+            let (lo, hi) = self.stored.split_at_mut(dst);
+            (&mut hi[0], &lo[src])
+        };
+        for (x, y) in d[span.clone()].iter_mut().zip(&s[span]) {
+            *x ^= y;
+        }
+    }
+
+    /// Sectors whose read-back value differs from the host oracle.
+    fn mismatches(got: &[u64], expected: &[u64]) -> u64 {
+        got.iter().zip(expected).filter(|(g, e)| g != e).count() as u64
     }
 
     /// Splits `[lsn, lsn+sectors)` at chunk boundaries and runs `f` per

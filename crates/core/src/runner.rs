@@ -76,10 +76,10 @@ use esp_workload::{IoOp, IoRequest, Trace};
 
 use crate::stats::{FtlStats, RunReport};
 
-/// Footprints at or below this many sectors get flat `Vec<SimTime>`
-/// hazard tables (direct indexing, zero hashing, zero steady-state
-/// allocation); larger footprints fall back to pruned hash maps. 8 Mi
-/// sectors = 32 GiB of logical space = two 64 MiB tables.
+/// Footprints at or below this many sectors get a flat hazard table
+/// (direct indexing, zero hashing, zero steady-state allocation); larger
+/// footprints fall back to pruned hash maps. 8 Mi sectors = 32 GiB of
+/// logical space = one 128 MiB table of `[write, read]` pairs.
 const FLAT_HAZARD_LIMIT: u64 = 1 << 23;
 
 /// Sparse hazard maps are pruned when their combined population exceeds
@@ -94,7 +94,7 @@ const SPARSE_PRUNE_TRIGGER: usize = 8192;
 pub(crate) enum HazardMode {
     /// Flat tables when the trace footprint fits, pruned maps otherwise.
     Auto,
-    /// Force flat `Vec<SimTime>` tables.
+    /// Force the flat `[write, read]` table.
     #[cfg_attr(not(test), allow(dead_code))]
     Flat,
     /// Force hash maps with watermark pruning.
@@ -114,10 +114,9 @@ pub(crate) enum HazardMode {
 /// pruning, where the surviving set — not its discovery order — is all
 /// that matters, so replay stays deterministic.
 pub(crate) enum Hazards {
-    Flat {
-        write: Vec<SimTime>,
-        read: Vec<SimTime>,
-    },
+    /// One `[last write, last read]` pair per sector, so a write's RAW
+    /// and WAR checks touch one cache line.
+    Flat(Vec<[SimTime; 2]>),
     Sparse {
         write: HashMap<u64, SimTime>,
         read: HashMap<u64, SimTime>,
@@ -133,11 +132,7 @@ impl Hazards {
             HazardMode::Sparse | HazardMode::SparseUnpruned => false,
         };
         if flat {
-            let n = footprint_sectors as usize;
-            Hazards::Flat {
-                write: vec![SimTime::ZERO; n],
-                read: vec![SimTime::ZERO; n],
-            }
+            Hazards::Flat(vec![[SimTime::ZERO; 2]; footprint_sectors as usize])
         } else {
             Hazards::Sparse {
                 write: HashMap::new(),
@@ -154,11 +149,11 @@ impl Hazards {
         let range = lsn..lsn + u64::from(sectors);
         let mut dep = SimTime::ZERO;
         match self {
-            Hazards::Flat { write, read } => {
-                for s in range {
-                    dep = dep.max(write[s as usize]);
+            Hazards::Flat(sectors) => {
+                for [write, read] in &sectors[range.start as usize..range.end as usize] {
+                    dep = dep.max(*write);
                     if is_write {
-                        dep = dep.max(read[s as usize]);
+                        dep = dep.max(*read);
                     }
                 }
             }
@@ -185,13 +180,12 @@ impl Hazards {
     pub(crate) fn publish(&mut self, lsn: u64, sectors: u32, is_write: bool, done: SimTime) {
         let range = lsn..lsn + u64::from(sectors);
         match self {
-            Hazards::Flat { write, read } => {
-                for s in range {
+            Hazards::Flat(sectors) => {
+                for [write, read] in &mut sectors[range.start as usize..range.end as usize] {
                     if is_write {
-                        write[s as usize] = done;
+                        *write = done;
                     } else {
-                        let e = &mut read[s as usize];
-                        *e = (*e).max(done);
+                        *read = (*read).max(done);
                     }
                 }
             }
@@ -229,7 +223,7 @@ impl Hazards {
     #[cfg(test)]
     fn population(&self) -> usize {
         match self {
-            Hazards::Flat { write, .. } => write.len(),
+            Hazards::Flat(sectors) => sectors.len(),
             Hazards::Sparse { write, read, .. } => write.len() + read.len(),
         }
     }

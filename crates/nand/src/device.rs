@@ -13,14 +13,14 @@ use esp_sim::{SimDuration, SimTime};
 use crate::error::{NandError, ReadFault};
 use crate::fault::{FaultConfig, FaultModel};
 use crate::geometry::{BlockAddr, Geometry, PageAddr, SubpageAddr};
-use crate::page::{Oob, Page, SubpageState, WrittenSubpage};
+use crate::page::{Cell, Oob, PageMut, SubpageState, WrittenSubpage};
 use crate::reliability::{EraseDepth, ReadEffort, RetentionModel, RetryLadder};
 use crate::timing::NandTiming;
 
-/// One erase block: pages plus wear state.
+/// One erase block's wear, health and read-disturb state. Its pages live
+/// in the device's flat cell array (see [`NandDevice`]), not here.
 #[derive(Debug, Clone)]
 pub struct Block {
-    pages: Vec<Page>,
     pe_cycles: u32,
     /// Accumulated tunnel-oxide stress in milli-P/E. A full-depth erase
     /// charges exactly 1000, so without adaptive erase this is always
@@ -37,18 +37,13 @@ pub struct Block {
 }
 
 impl Block {
-    fn new(geometry: &Geometry) -> Self {
-        Block {
-            pages: (0..geometry.pages_per_block)
-                .map(|_| Page::new(geometry.subpages_per_page))
-                .collect(),
-            pe_cycles: 0,
-            stress_milli: 0,
-            bad: false,
-            torn: false,
-            reads_since_erase: 0,
-        }
-    }
+    const FRESH: Block = Block {
+        pe_cycles: 0,
+        stress_milli: 0,
+        bad: false,
+        torn: false,
+        reads_since_erase: 0,
+    };
 
     /// Program/erase cycles this block has endured (the raw erase count,
     /// regardless of erase depth).
@@ -92,16 +87,6 @@ impl Block {
     #[must_use]
     pub fn reads_since_erase(&self) -> u64 {
         self.reads_since_erase
-    }
-
-    /// The page at `page` index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is out of range.
-    #[must_use]
-    pub fn page(&self, page: u32) -> &Page {
-        &self.pages[page as usize]
     }
 }
 
@@ -209,6 +194,12 @@ pub struct NandDevice {
     retention: RetentionModel,
     /// Blocks indexed by the device-global block index.
     blocks: Vec<Block>,
+    /// Every subpage of the device, indexed
+    /// `(gbi · pages_per_block + page) · subpages_per_page + slot`.
+    cells: Vec<Cell>,
+    /// Program operations since the last erase, one entry per page,
+    /// indexed `gbi · pages_per_block + page`.
+    programs: Vec<u8>,
     stats: DeviceStats,
     forced_faults: HashSet<SubpageAddr>,
     faults: Option<FaultModel>,
@@ -250,14 +241,16 @@ impl NandDevice {
     #[must_use]
     pub fn with_models(geometry: Geometry, timing: NandTiming, retention: RetentionModel) -> Self {
         geometry.validate().expect("invalid NAND geometry");
-        let blocks = (0..geometry.block_count())
-            .map(|_| Block::new(&geometry))
-            .collect();
+        let blocks = geometry.block_count() as usize;
+        let pages = blocks * geometry.pages_per_block as usize;
+        let cells = pages * geometry.subpages_per_page as usize;
         NandDevice {
             geometry,
             timing,
             retention,
-            blocks,
+            blocks: vec![Block::FRESH; blocks],
+            cells: vec![Cell::ERASED; cells],
+            programs: vec![0; pages],
             stats: DeviceStats::default(),
             forced_faults: HashSet::new(),
             faults: None,
@@ -411,16 +404,95 @@ impl NandDevice {
         }
     }
 
-    fn block_mut(&mut self, addr: BlockAddr) -> Result<&mut Block, NandError> {
-        let idx = if addr.chip.channel < self.geometry.channels
+    /// Device-global index of `addr`, or `AddressOutOfRange`.
+    fn block_index_checked(&self, addr: BlockAddr) -> Result<usize, NandError> {
+        if addr.chip.channel < self.geometry.channels
             && addr.chip.way < self.geometry.chips_per_channel
             && addr.block < self.geometry.blocks_per_chip
         {
-            self.geometry.block_index(addr) as usize
+            Ok(self.geometry.block_index(addr) as usize)
         } else {
+            Err(NandError::AddressOutOfRange)
+        }
+    }
+
+    /// The block at `addr` if it accepts programs: in range, not bad and
+    /// not torn.
+    fn programmable(&self, addr: BlockAddr) -> Result<&Block, NandError> {
+        let block = &self.blocks[self.block_index_checked(addr)?];
+        if block.bad {
+            return Err(NandError::BadBlock);
+        }
+        if block.torn {
+            return Err(NandError::TornBlock);
+        }
+        Ok(block)
+    }
+
+    /// Flat index of `page` into the per-page arrays; the address must be
+    /// inside the geometry.
+    fn page_index(&self, page: PageAddr) -> usize {
+        self.geometry.block_index(page.block) as usize * self.geometry.pages_per_block as usize
+            + page.page as usize
+    }
+
+    /// The Fig 4 state machine's view of the page at flat index `idx`.
+    fn page_mut(&mut self, idx: usize) -> PageMut<'_> {
+        let n_sub = self.geometry.subpages_per_page as usize;
+        PageMut {
+            cells: &mut self.cells[idx * n_sub..(idx + 1) * n_sub],
+            programs: &mut self.programs[idx],
+        }
+    }
+
+    /// Every page of block `gbi`, in page order.
+    fn block_pages(&mut self, gbi: usize) -> impl Iterator<Item = PageMut<'_>> {
+        let ppb = self.geometry.pages_per_block as usize;
+        let n_sub = self.geometry.subpages_per_page as usize;
+        self.cells[gbi * ppb * n_sub..(gbi + 1) * ppb * n_sub]
+            .chunks_exact_mut(n_sub)
+            .zip(&mut self.programs[gbi * ppb..(gbi + 1) * ppb])
+            .map(|(cells, programs)| PageMut { cells, programs })
+    }
+
+    /// The stored cell of `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry.
+    fn cell(&self, addr: SubpageAddr) -> &Cell {
+        assert!(self.geometry.contains(addr), "address outside geometry");
+        let n_sub = self.geometry.subpages_per_page as usize;
+        &self.cells[self.page_index(addr.page) * n_sub + usize::from(addr.slot)]
+    }
+
+    /// The legality checks every full-page program shares: a programmable
+    /// block, a page inside it, and word-line order. Returns the page's
+    /// flat index and the block's effective wear.
+    fn check_full_program(&self, page: PageAddr) -> Result<(usize, u32), NandError> {
+        // Reliability follows *effective* wear (equal to the erase count
+        // unless adaptive erase charged fractional stress).
+        let pe = self.programmable(page.block)?.effective_pe();
+        if page.page >= self.geometry.pages_per_block {
             return Err(NandError::AddressOutOfRange);
-        };
-        Ok(&mut self.blocks[idx])
+        }
+        let idx = self.page_index(page);
+        // Word lines must be programmed in order: a full-page program is
+        // only legal if the preceding page has been programmed.
+        if page.page > 0 && self.programs[idx - 1] == 0 {
+            return Err(NandError::NonSequentialProgram { page: page.page });
+        }
+        Ok((idx, pe))
+    }
+
+    /// The legality checks every subpage program shares. Returns the
+    /// page's flat index and the block's effective wear.
+    fn check_subpage_program(&self, addr: SubpageAddr) -> Result<(usize, u32), NandError> {
+        if !self.geometry.contains(addr) {
+            return Err(NandError::AddressOutOfRange);
+        }
+        let pe = self.programmable(addr.page.block)?.effective_pe();
+        Ok((self.page_index(addr.page), pe))
     }
 
     /// The block at `addr`.
@@ -431,6 +503,22 @@ impl NandDevice {
     #[must_use]
     pub fn block(&self, addr: BlockAddr) -> &Block {
         &self.blocks[self.geometry.block_index(addr) as usize]
+    }
+
+    /// Program operations the page at `page` has seen since its block's
+    /// last erase (0 for an erased page; a torn erase leaves every page at
+    /// `N_sub`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry.
+    #[must_use]
+    pub fn program_count(&self, page: PageAddr) -> u8 {
+        assert!(
+            self.geometry.contains(page.subpage(0)),
+            "address outside geometry"
+        );
+        self.programs[self.page_index(page)]
     }
 
     /// P/E cycles endured by the block at `addr`.
@@ -456,14 +544,12 @@ impl NandDevice {
     /// rejected without running).
     #[must_use]
     pub fn erase_cost(&self, addr: BlockAddr) -> OpCost {
-        let in_range = addr.chip.channel < self.geometry.channels
-            && addr.chip.way < self.geometry.chips_per_channel
-            && addr.block < self.geometry.blocks_per_chip;
-        let cell = if self.adaptive_erase && in_range {
-            let depth = self.retention.erase_depth(self.block(addr).effective_pe());
-            self.timing.erase_for(depth)
-        } else {
-            self.timing.erase
+        let cell = match self.block_index_checked(addr) {
+            Ok(gbi) if self.adaptive_erase => {
+                let depth = self.retention.erase_depth(self.blocks[gbi].effective_pe());
+                self.timing.erase_for(depth)
+            }
+            _ => self.timing.erase,
         };
         OpCost {
             bus: SimDuration::ZERO,
@@ -482,12 +568,19 @@ impl NandDevice {
     ///
     /// # Errors
     ///
-    /// See [`Page::program_full`]; also rejects out-of-geometry addresses
-    /// ([`NandError::AddressOutOfRange`]) and bad blocks
-    /// ([`NandError::BadBlock`]). With a fault model installed the operation
-    /// may report [`NandError::ProgramFailed`]: the pulse ran (the page
-    /// counts a program and holds garbage) but no data was stored, and the
-    /// caller must re-program elsewhere.
+    /// * [`NandError::ProgramOnDirtyPage`] if the page has been programmed
+    ///   since the last erase — full-page programs require an erased page.
+    /// * [`NandError::SlotCountMismatch`] if `oobs.len() != N_sub`.
+    /// * [`NandError::NonSequentialProgram`] if the preceding page of the
+    ///   block is still erased (word-line order).
+    /// * [`NandError::AddressOutOfRange`] for addresses outside the
+    ///   geometry, [`NandError::BadBlock`] / [`NandError::TornBlock`] for
+    ///   blocks that accept no program.
+    ///
+    /// With a fault model installed the operation may report
+    /// [`NandError::ProgramFailed`]: the pulse ran (the page counts a
+    /// program and holds garbage) but no data was stored, and the caller
+    /// must re-program elsewhere.
     pub fn program_full(
         &mut self,
         page: PageAddr,
@@ -497,34 +590,17 @@ impl NandDevice {
         if self.dead {
             return Err(NandError::DeviceDead);
         }
-        let block = self.block_mut(page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        if page.page >= block.pages.len() as u32 {
-            return Err(NandError::AddressOutOfRange);
-        }
-        // Word lines must be programmed in order: a full-page program is
-        // only legal if the preceding page has been programmed.
-        if page.page > 0 && block.pages[(page.page - 1) as usize].is_erased() {
-            return Err(NandError::NonSequentialProgram { page: page.page });
-        }
-        // Reliability follows *effective* wear (equal to the erase count
-        // unless adaptive erase charged fractional stress).
-        let pe = block.effective_pe();
-        block.pages[page.page as usize].program_full(oobs, now, pe)?;
+        let (idx, pe) = self.check_full_program(page)?;
+        self.page_mut(idx).program_full(oobs, now, pe)?;
         self.stats.full_programs += 1;
         self.note_op_executed();
         // The fault stream is consulted only after the command proved legal,
         // so illegal commands never advance (or even require) the RNG.
         if self.draw_program_fault(pe) {
-            let n_sub = self.geometry.subpages_per_page;
-            let failed = &mut self.blocks[self.geometry.block_index(page.block) as usize];
+            let n_sub = self.geometry.subpages_per_page as u8;
+            let mut failed = self.page_mut(idx);
             for slot in 0..n_sub {
-                failed.pages[page.page as usize].destroy_subpage(slot as u8);
+                failed.destroy(slot);
             }
             self.stats.program_failures += 1;
             return Err(NandError::ProgramFailed);
@@ -534,16 +610,25 @@ impl NandDevice {
 
     /// Programs a single subpage via ESP (erase-free subpage programming).
     ///
-    /// Any previously programmed subpage of the same page is destroyed;
-    /// the count of destroyed subpages is recorded in [`DeviceStats`].
+    /// Physics, per Fig 4: every *other* subpage of the page that holds
+    /// data is destroyed (its BER exceeds the ECC limit), and the count of
+    /// destroyed subpages is recorded in [`DeviceStats`]. If the target
+    /// slot itself was already programmed, the new data is garbage too and
+    /// the slot reads [`SubpageState::Destroyed`] — an FTL bug the device
+    /// reports faithfully rather than rejecting. The subpage becomes an
+    /// `Npp^k` type, `k` being the programs the page saw before this one.
     ///
     /// # Errors
     ///
-    /// See [`Page::program_subpage`]; also rejects out-of-geometry addresses
-    /// ([`NandError::AddressOutOfRange`]) and bad blocks
-    /// ([`NandError::BadBlock`]). With a fault model installed the operation
-    /// may report [`NandError::ProgramFailed`]: the pulse ran (SBPI side
-    /// effects included) but the target slot holds garbage.
+    /// * [`NandError::ProgramLimitExceeded`] if the page has already been
+    ///   programmed `N_sub` times since the last erase.
+    /// * [`NandError::AddressOutOfRange`] for addresses outside the
+    ///   geometry, [`NandError::BadBlock`] / [`NandError::TornBlock`] for
+    ///   blocks that accept no program.
+    ///
+    /// With a fault model installed the operation may report
+    /// [`NandError::ProgramFailed`]: the pulse ran (SBPI side effects
+    /// included) but the target slot holds garbage.
     pub fn program_subpage(
         &mut self,
         addr: SubpageAddr,
@@ -553,26 +638,16 @@ impl NandDevice {
         if self.dead {
             return Err(NandError::DeviceDead);
         }
-        if !self.geometry.contains(addr) {
-            return Err(NandError::AddressOutOfRange);
-        }
-        let block = self.block_mut(addr.page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        let pe = block.effective_pe();
-        let destroyed =
-            block.pages[addr.page.page as usize].program_subpage(addr.slot, oob, now, pe)?;
+        let (idx, pe) = self.check_subpage_program(addr)?;
+        let destroyed = self
+            .page_mut(idx)
+            .program_subpage(addr.slot, oob, now, pe)?;
         self.stats.subpage_programs += 1;
-        self.stats.subpages_destroyed += destroyed.len() as u64;
+        self.stats.subpages_destroyed += u64::from(destroyed);
         self.note_op_executed();
         // Consulted only after the command proved legal (see program_full).
         if self.draw_program_fault(pe) {
-            let idx = self.geometry.block_index(addr.page.block) as usize;
-            self.blocks[idx].pages[addr.page.page as usize].destroy_subpage(addr.slot);
+            self.page_mut(idx).destroy(addr.slot);
             self.stats.program_failures += 1;
             return Err(NandError::ProgramFailed);
         }
@@ -583,8 +658,11 @@ impl NandDevice {
     ///
     /// # Errors
     ///
-    /// * [`ReadFault::NotWritten`] / [`ReadFault::Padding`] /
-    ///   [`ReadFault::DestroyedByProgram`] — see [`Page::read_subpage`].
+    /// * [`ReadFault::NotWritten`] if the slot is erased,
+    ///   [`ReadFault::Padding`] if it was programmed as padding,
+    ///   [`ReadFault::DestroyedByProgram`] if a later program on the page
+    ///   corrupted it, [`ReadFault::Torn`] if a program or erase was cut
+    ///   mid-operation.
     /// * [`ReadFault::RetentionExceeded`] if the data has aged (or been
     ///   read-disturbed) past what the ECC — and the retry ladder, if one
     ///   is installed — can correct.
@@ -665,7 +743,7 @@ impl NandDevice {
             let (r, e) = if !self.forced_faults.is_empty() && self.forced_faults.contains(&addr) {
                 (Err(ReadFault::Injected), ReadEffort::NONE)
             } else {
-                match self.written_subpage(addr) {
+                match self.cell(addr).read() {
                     Err(e) => (Err(e), ReadEffort::NONE),
                     Ok(w) => {
                         let key = (w.pe_at_program, w.npp, w.programmed_at);
@@ -677,7 +755,7 @@ impl NandDevice {
                                 (v, eff)
                             }
                         };
-                        let oob = w.oob.expect("written_subpage filters padding");
+                        let oob = w.oob.expect("Cell::read filters padding");
                         (verdict.map(|()| oob), eff)
                     }
                 }
@@ -702,13 +780,13 @@ impl NandDevice {
         if !self.forced_faults.is_empty() && self.forced_faults.contains(&addr) {
             return (Err(ReadFault::Injected), ReadEffort::NONE);
         }
-        let w = match self.written_subpage(addr) {
+        let w = match self.cell(addr).read() {
             Ok(w) => w,
             Err(e) => return (Err(e), ReadEffort::NONE),
         };
         let block_index = u64::from(self.geometry.block_index(addr.page.block));
         let (verdict, effort) = self.judge_written(block_index, &w, now);
-        let oob = w.oob.expect("written_subpage filters padding");
+        let oob = w.oob.expect("Cell::read filters padding");
         (verdict.map(|()| oob), effort)
     }
 
@@ -749,20 +827,16 @@ impl NandDevice {
         }
     }
 
-    fn written_subpage(&self, addr: SubpageAddr) -> Result<WrittenSubpage, ReadFault> {
-        assert!(self.geometry.contains(addr), "address outside geometry");
-        let block = self.block(addr.page.block);
-        block.pages[addr.page.page as usize]
-            .read_subpage(addr.slot)
-            .copied()
-    }
-
     /// Introspects the raw state of a subpage (no ECC judgment, no
-    /// statistics). Intended for tests and characterization harnesses.
+    /// statistics), unpacked by value from the device's cell array.
+    /// Intended for tests, recovery scans and characterization harnesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry.
     #[must_use]
-    pub fn subpage_state(&self, addr: SubpageAddr) -> &SubpageState {
-        assert!(self.geometry.contains(addr), "address outside geometry");
-        self.block(addr.page.block).pages[addr.page.page as usize].subpage(addr.slot)
+    pub fn subpage_state(&self, addr: SubpageAddr) -> SubpageState {
+        self.cell(addr).state()
     }
 
     /// Erases a block, resetting all of its pages and incrementing its P/E
@@ -781,11 +855,11 @@ impl NandDevice {
         if self.dead {
             return Err(NandError::DeviceDead);
         }
-        let block = self.block_mut(addr)?;
-        if block.bad {
+        let gbi = self.block_index_checked(addr)?;
+        if self.blocks[gbi].bad {
             return Err(NandError::BadBlock);
         }
-        let pe = block.effective_pe();
+        let pe = self.blocks[gbi].effective_pe();
         // Depth is chosen from the wear *before* this erase (matching the
         // cost [`NandDevice::erase_cost`] reports); a full-depth erase is
         // exactly one P/E cycle of stress, so the adaptive-off path is
@@ -797,10 +871,8 @@ impl NandDevice {
         };
         // Consulted only after the command proved legal (see program_full).
         let failed = self.draw_erase_fault(pe);
-        let block = self.block_mut(addr).expect("address already validated");
-        for page in &mut block.pages {
-            page.erase();
-        }
+        self.block_pages(gbi).for_each(|mut page| page.erase());
+        let block = &mut self.blocks[gbi];
         block.pe_cycles += 1;
         block.stress_milli += depth.stress_milli_pe();
         // A completed erase recovers a torn block and discharges the
@@ -812,11 +884,9 @@ impl NandDevice {
             self.stats.shallow_erases += 1;
         }
         self.note_op_executed();
-        let worn = self.block(addr).effective_pe();
-        self.note_wear(worn);
+        self.note_wear(self.blocks[gbi].effective_pe());
         if failed {
-            let block = self.block_mut(addr).expect("address already validated");
-            block.bad = true;
+            self.blocks[gbi].bad = true;
             self.stats.erase_failures += 1;
             return Err(NandError::EraseFailed);
         }
@@ -846,20 +916,8 @@ impl NandDevice {
         if self.dead {
             return Err(NandError::DeviceDead);
         }
-        let block = self.block_mut(page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        if page.page >= block.pages.len() as u32 {
-            return Err(NandError::AddressOutOfRange);
-        }
-        if page.page > 0 && block.pages[(page.page - 1) as usize].is_erased() {
-            return Err(NandError::NonSequentialProgram { page: page.page });
-        }
-        block.pages[page.page as usize].tear_program_full()?;
+        let (idx, _) = self.check_full_program(page)?;
+        self.page_mut(idx).tear_program_full()?;
         self.stats.torn_programs += 1;
         Ok(())
     }
@@ -876,18 +934,9 @@ impl NandDevice {
         if self.dead {
             return Err(NandError::DeviceDead);
         }
-        if !self.geometry.contains(addr) {
-            return Err(NandError::AddressOutOfRange);
-        }
-        let block = self.block_mut(addr.page.block)?;
-        if block.bad {
-            return Err(NandError::BadBlock);
-        }
-        if block.torn {
-            return Err(NandError::TornBlock);
-        }
-        let destroyed = block.pages[addr.page.page as usize].tear_program_subpage(addr.slot)?;
-        self.stats.subpages_destroyed += destroyed.len() as u64;
+        let (idx, _) = self.check_subpage_program(addr)?;
+        let destroyed = self.page_mut(idx).tear_program_subpage(addr.slot)?;
+        self.stats.subpages_destroyed += u64::from(destroyed);
         self.stats.torn_programs += 1;
         Ok(())
     }
@@ -904,13 +953,12 @@ impl NandDevice {
         if self.dead {
             return Err(NandError::DeviceDead);
         }
-        let block = self.block_mut(addr)?;
-        if block.bad {
+        let gbi = self.block_index_checked(addr)?;
+        if self.blocks[gbi].bad {
             return Err(NandError::BadBlock);
         }
-        for page in &mut block.pages {
-            page.tear_all();
-        }
+        self.block_pages(gbi).for_each(|mut page| page.tear_all());
+        let block = &mut self.blocks[gbi];
         block.pe_cycles += 1;
         // An interrupted erase is charged full stress regardless of
         // adaptive mode: no status handshake happened, so the controller
@@ -1321,7 +1369,7 @@ mod tests {
             Err(NandError::ProgramFailed)
         );
         // The pulse ran: the page counts a program, the slot holds garbage.
-        assert_eq!(d.block(page.block).page(0).program_count(), 1);
+        assert_eq!(d.program_count(page), 1);
         assert_eq!(
             d.read_subpage(page.subpage(0), SimTime::ZERO),
             Err(ReadFault::DestroyedByProgram)

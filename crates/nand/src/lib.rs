@@ -12,6 +12,12 @@
 //!   [`NandDevice::erase`], with exact SBPI corruption semantics: programming
 //!   a subpage destroys data in every previously-programmed subpage of the
 //!   same page (paper Fig 4).
+//! * Page state is stored flat: one 32-byte cell per subpage in a single
+//!   device-wide array, plus one program counter per page. There is no
+//!   per-page or per-block object to borrow, so
+//!   [`NandDevice::subpage_state`] returns a [`SubpageState`] **by value**
+//!   and [`NandDevice::program_count`] reports a page's program count (the
+//!   former `Page` type and `Block::page` accessor are removed).
 //! * [`RetentionModel`] — the subpage-aware retention-BER model of Fig 5: an
 //!   `Npp^k` subpage (programmed after `k` earlier programs of its page) has
 //!   a retention capability that shrinks with `k`; `Npp^3` survives 1 month
@@ -65,6 +71,6 @@ pub use ecc::EccConfig;
 pub use error::{NandError, ReadFault};
 pub use fault::{FaultConfig, FaultModel};
 pub use geometry::{BlockAddr, ChipAddr, Geometry, PageAddr, SubpageAddr};
-pub use page::{Oob, Page, SubpageState, WrittenSubpage};
+pub use page::{Oob, SubpageState, WrittenSubpage};
 pub use reliability::{EraseDepth, ReadEffort, RetentionModel, RetryLadder};
 pub use timing::NandTiming;

@@ -19,6 +19,12 @@
 //! *discipline* (only program a subpage when no other subpage in the page
 //! holds valid data) lives in the FTL; the device faithfully destroys data
 //! if the discipline is violated.
+//!
+//! Storage: the device keeps every subpage as a 32-byte [`Cell`] in one
+//! flat array and every page's program counter in another; [`PageMut`]
+//! borrows one page's slice of each and runs the state machine on it.
+//! [`SubpageState`] and [`WrittenSubpage`] are the public, by-value view
+//! of a cell.
 
 use esp_sim::SimTime;
 
@@ -69,61 +75,131 @@ pub struct WrittenSubpage {
     pub pe_at_program: u32,
 }
 
-/// One physical page: `N_sub` subpages plus a program counter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Page {
-    subpages: Vec<SubpageState>,
-    programs: u8,
+/// Which [`SubpageState`] a [`Cell`] holds; `Data` and `Padding` are the
+/// two flavours of [`SubpageState::Written`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Tag {
+    Erased,
+    Data,
+    Padding,
+    Destroyed,
+    Torn,
 }
 
-impl Page {
-    /// A fresh (erased) page with `n_sub` subpages.
-    #[must_use]
-    pub fn new(n_sub: u32) -> Self {
-        Page {
-            subpages: vec![SubpageState::Erased; n_sub as usize],
-            programs: 0,
+/// One subpage as the device stores it: a flat 32-byte record that
+/// unpacks to [`SubpageState`]. The program-time fields are meaningful
+/// only for the `Data` and `Padding` tags, and the spare area only for
+/// `Data`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    lsn: u64,
+    seq: u64,
+    programmed_at: SimTime,
+    pe_at_program: u32,
+    npp: u8,
+    tag: Tag,
+}
+
+// The device holds one `Cell` per subpage; keep it at half a cache line.
+const _: () = assert!(std::mem::size_of::<Cell>() == 32);
+
+impl Cell {
+    /// An erased subpage.
+    pub(crate) const ERASED: Cell = Cell::bare(Tag::Erased);
+    const DESTROYED: Cell = Cell::bare(Tag::Destroyed);
+    const TORN: Cell = Cell::bare(Tag::Torn);
+
+    const fn bare(tag: Tag) -> Cell {
+        Cell {
+            lsn: 0,
+            seq: 0,
+            programmed_at: SimTime::ZERO,
+            pe_at_program: 0,
+            npp: 0,
+            tag,
         }
     }
 
-    /// Number of subpages.
-    #[must_use]
-    pub fn subpage_count(&self) -> u32 {
-        self.subpages.len() as u32
+    fn written(oob: Option<Oob>, npp: u8, now: SimTime, pe_cycles: u32) -> Cell {
+        let (tag, Oob { lsn, seq }) = match oob {
+            Some(o) => (Tag::Data, o),
+            None => (Tag::Padding, Oob { lsn: 0, seq: 0 }),
+        };
+        Cell {
+            lsn,
+            seq,
+            programmed_at: now,
+            pe_at_program: pe_cycles,
+            npp,
+            tag,
+        }
     }
 
-    /// Number of program operations since the last erase.
-    #[must_use]
-    pub fn program_count(&self) -> u8 {
-        self.programs
+    fn is_written(&self) -> bool {
+        matches!(self.tag, Tag::Data | Tag::Padding)
     }
 
-    /// True if the page has never been programmed since the last erase.
-    #[must_use]
-    pub fn is_erased(&self) -> bool {
-        self.programs == 0
+    fn payload(&self) -> WrittenSubpage {
+        WrittenSubpage {
+            oob: (self.tag == Tag::Data).then_some(Oob {
+                lsn: self.lsn,
+                seq: self.seq,
+            }),
+            npp: self.npp,
+            programmed_at: self.programmed_at,
+            pe_at_program: self.pe_at_program,
+        }
+    }
+
+    /// The public view of this subpage.
+    pub(crate) fn state(&self) -> SubpageState {
+        match self.tag {
+            Tag::Erased => SubpageState::Erased,
+            Tag::Destroyed => SubpageState::Destroyed,
+            Tag::Torn => SubpageState::Torn,
+            Tag::Data | Tag::Padding => SubpageState::Written(self.payload()),
+        }
+    }
+
+    /// Raw read — the ECC/retention judgment is the device's job (it owns
+    /// the retention model and the clock).
+    ///
+    /// # Errors
+    ///
+    /// * [`ReadFault::NotWritten`] if the slot is erased.
+    /// * [`ReadFault::Padding`] if the slot was programmed as padding.
+    /// * [`ReadFault::DestroyedByProgram`] if a later program on the page
+    ///   corrupted it.
+    /// * [`ReadFault::Torn`] if a program or erase was cut mid-operation.
+    pub(crate) fn read(&self) -> Result<WrittenSubpage, ReadFault> {
+        match self.tag {
+            Tag::Erased => Err(ReadFault::NotWritten),
+            Tag::Destroyed => Err(ReadFault::DestroyedByProgram),
+            Tag::Torn => Err(ReadFault::Torn),
+            Tag::Padding => Err(ReadFault::Padding),
+            Tag::Data => Ok(self.payload()),
+        }
+    }
+}
+
+/// A mutable view of one physical page inside the device's flat arrays:
+/// its `N_sub` cells plus its program counter. The Fig 4 state machine
+/// lives here.
+pub(crate) struct PageMut<'a> {
+    pub(crate) cells: &'a mut [Cell],
+    pub(crate) programs: &'a mut u8,
+}
+
+impl PageMut<'_> {
+    fn n_sub(&self) -> u32 {
+        self.cells.len() as u32
     }
 
     /// True if no further program operation is allowed before an erase
     /// (the page has been programmed `N_sub` times).
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        u32::from(self.programs) >= self.subpage_count()
-    }
-
-    /// State of the subpage at `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    #[must_use]
-    pub fn subpage(&self, slot: u8) -> &SubpageState {
-        &self.subpages[slot as usize]
-    }
-
-    /// Iterates over `(slot, state)` pairs.
-    pub fn subpages(&self) -> impl Iterator<Item = (u8, &SubpageState)> {
-        self.subpages.iter().enumerate().map(|(i, s)| (i as u8, s))
+    fn is_exhausted(&self) -> bool {
+        u32::from(*self.programs) >= self.n_sub()
     }
 
     /// Programs the whole page in one operation (the conventional path).
@@ -136,30 +212,25 @@ impl Page {
     /// * [`NandError::ProgramOnDirtyPage`] if the page has been programmed
     ///   since the last erase — full-page programs require an erased page.
     /// * [`NandError::SlotCountMismatch`] if `oobs.len() != N_sub`.
-    pub fn program_full(
+    pub(crate) fn program_full(
         &mut self,
         oobs: &[Option<Oob>],
         now: SimTime,
         pe_cycles: u32,
     ) -> Result<(), NandError> {
-        if oobs.len() != self.subpages.len() {
+        if oobs.len() != self.cells.len() {
             return Err(NandError::SlotCountMismatch {
-                expected: self.subpages.len() as u32,
+                expected: self.n_sub(),
                 got: oobs.len() as u32,
             });
         }
-        if !self.is_erased() {
+        if *self.programs != 0 {
             return Err(NandError::ProgramOnDirtyPage);
         }
-        for (state, oob) in self.subpages.iter_mut().zip(oobs) {
-            *state = SubpageState::Written(WrittenSubpage {
-                oob: *oob,
-                npp: 0,
-                programmed_at: now,
-                pe_at_program: pe_cycles,
-            });
+        for (cell, oob) in self.cells.iter_mut().zip(oobs) {
+            *cell = Cell::written(*oob, 0, now, pe_cycles);
         }
-        self.programs = 1;
+        *self.programs = 1;
         Ok(())
     }
 
@@ -175,108 +246,56 @@ impl Page {
     /// The subpage becomes an `Npp^k` type where `k` is the number of
     /// program operations the page had seen before this one.
     ///
+    /// Returns how many slots' data was destroyed as a side effect.
+    ///
     /// # Errors
     ///
     /// * [`NandError::ProgramLimitExceeded`] if the page has already been
     ///   programmed `N_sub` times since the last erase.
     /// * [`NandError::SlotOutOfRange`] if `slot >= N_sub`.
-    ///
-    /// Returns the list of slots whose data was destroyed as a side effect,
-    /// so callers (and tests) can observe the corruption.
-    pub fn program_subpage(
+    pub(crate) fn program_subpage(
         &mut self,
         slot: u8,
         oob: Oob,
         now: SimTime,
         pe_cycles: u32,
-    ) -> Result<Vec<u8>, NandError> {
-        if usize::from(slot) >= self.subpages.len() {
-            return Err(NandError::SlotOutOfRange {
-                slot,
-                n_sub: self.subpages.len() as u32,
-            });
-        }
-        if self.is_exhausted() {
-            return Err(NandError::ProgramLimitExceeded);
-        }
-        let npp = self.programs;
-        let mut destroyed = Vec::new();
-        let target_was_programmed = !matches!(self.subpages[slot as usize], SubpageState::Erased);
-        for (i, state) in self.subpages.iter_mut().enumerate() {
-            if i != usize::from(slot) {
-                if let SubpageState::Written(_) = state {
-                    *state = SubpageState::Destroyed;
-                    destroyed.push(i as u8);
-                }
-            }
-        }
-        self.subpages[slot as usize] = if target_was_programmed {
-            destroyed.push(slot);
-            SubpageState::Destroyed
+    ) -> Result<u32, NandError> {
+        self.check_subpage_program(slot)?;
+        let npp = *self.programs;
+        let target = usize::from(slot);
+        let target_was_programmed = self.cells[target].tag != Tag::Erased;
+        let mut destroyed = self.disturb_siblings(slot);
+        self.cells[target] = if target_was_programmed {
+            destroyed += 1;
+            Cell::DESTROYED
         } else {
-            SubpageState::Written(WrittenSubpage {
-                oob: Some(oob),
-                npp,
-                programmed_at: now,
-                pe_at_program: pe_cycles,
-            })
+            Cell::written(Some(oob), npp, now, pe_cycles)
         };
-        self.programs += 1;
+        *self.programs += 1;
         Ok(destroyed)
-    }
-
-    /// Raw read of the subpage at `slot` — the ECC/retention judgment is the
-    /// device's job (it owns the retention model and the clock).
-    ///
-    /// # Errors
-    ///
-    /// * [`ReadFault::NotWritten`] if the slot is erased.
-    /// * [`ReadFault::Padding`] if the slot was programmed as padding.
-    /// * [`ReadFault::DestroyedByProgram`] if a later program on the page
-    ///   corrupted it.
-    /// * [`ReadFault::Torn`] if a program or erase was cut mid-operation.
-    pub fn read_subpage(&self, slot: u8) -> Result<&WrittenSubpage, ReadFault> {
-        match &self.subpages[usize::from(slot)] {
-            SubpageState::Erased => Err(ReadFault::NotWritten),
-            SubpageState::Destroyed => Err(ReadFault::DestroyedByProgram),
-            SubpageState::Torn => Err(ReadFault::Torn),
-            SubpageState::Written(w) => {
-                if w.oob.is_none() {
-                    Err(ReadFault::Padding)
-                } else {
-                    Ok(w)
-                }
-            }
-        }
     }
 
     /// Marks the subpage at `slot` as destroyed (used by the device when a
     /// program operation reports status fail: the pulse ran, so the target
     /// holds garbage rather than data).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub(crate) fn destroy_subpage(&mut self, slot: u8) {
-        self.subpages[usize::from(slot)] = SubpageState::Destroyed;
+    pub(crate) fn destroy(&mut self, slot: u8) {
+        self.cells[usize::from(slot)] = Cell::DESTROYED;
     }
 
     /// A full-page program cut by power loss mid-pulse: every subpage holds
     /// a partial charge pattern and reads back uncorrectable. Legality
-    /// mirrors [`Page::program_full`] (the command was accepted; only its
+    /// mirrors [`PageMut::program_full`] (the command was accepted; only its
     /// completion was interrupted).
     ///
     /// # Errors
     ///
     /// * [`NandError::ProgramOnDirtyPage`] if the page is not erased.
-    pub fn tear_program_full(&mut self) -> Result<(), NandError> {
-        if !self.is_erased() {
+    pub(crate) fn tear_program_full(&mut self) -> Result<(), NandError> {
+        if *self.programs != 0 {
             return Err(NandError::ProgramOnDirtyPage);
         }
-        for s in &mut self.subpages {
-            *s = SubpageState::Torn;
-        }
-        self.programs = 1;
+        self.cells.fill(Cell::TORN);
+        *self.programs = 1;
         Ok(())
     }
 
@@ -284,35 +303,19 @@ impl Page {
     /// torn, and — exactly as for a completed program — every other subpage
     /// of the page that held data is destroyed (the Fig 4(b) disturbance
     /// comes from the program pulses, which did run before the cut).
-    /// Legality mirrors [`Page::program_subpage`].
+    /// Legality mirrors [`PageMut::program_subpage`].
     ///
-    /// Returns the slots whose data was destroyed as a side effect.
+    /// Returns how many slots' data was destroyed as a side effect.
     ///
     /// # Errors
     ///
     /// * [`NandError::ProgramLimitExceeded`] if the page is exhausted.
     /// * [`NandError::SlotOutOfRange`] if `slot >= N_sub`.
-    pub fn tear_program_subpage(&mut self, slot: u8) -> Result<Vec<u8>, NandError> {
-        if usize::from(slot) >= self.subpages.len() {
-            return Err(NandError::SlotOutOfRange {
-                slot,
-                n_sub: self.subpages.len() as u32,
-            });
-        }
-        if self.is_exhausted() {
-            return Err(NandError::ProgramLimitExceeded);
-        }
-        let mut destroyed = Vec::new();
-        for (i, state) in self.subpages.iter_mut().enumerate() {
-            if i != usize::from(slot) {
-                if let SubpageState::Written(_) = state {
-                    *state = SubpageState::Destroyed;
-                    destroyed.push(i as u8);
-                }
-            }
-        }
-        self.subpages[slot as usize] = SubpageState::Torn;
-        self.programs += 1;
+    pub(crate) fn tear_program_subpage(&mut self, slot: u8) -> Result<u32, NandError> {
+        self.check_subpage_program(slot)?;
+        let destroyed = self.disturb_siblings(slot);
+        self.cells[usize::from(slot)] = Cell::TORN;
+        *self.programs += 1;
         Ok(destroyed)
     }
 
@@ -321,18 +324,40 @@ impl Page {
     /// marked exhausted so no program can target it until a completed erase
     /// resets it.
     pub(crate) fn tear_all(&mut self) {
-        for s in &mut self.subpages {
-            *s = SubpageState::Torn;
-        }
-        self.programs = self.subpages.len() as u8;
+        self.cells.fill(Cell::TORN);
+        *self.programs = self.cells.len() as u8;
     }
 
     /// Resets the page to the erased state.
-    pub fn erase(&mut self) {
-        for s in &mut self.subpages {
-            *s = SubpageState::Erased;
+    pub(crate) fn erase(&mut self) {
+        self.cells.fill(Cell::ERASED);
+        *self.programs = 0;
+    }
+
+    fn check_subpage_program(&self, slot: u8) -> Result<(), NandError> {
+        if u32::from(slot) >= self.n_sub() {
+            return Err(NandError::SlotOutOfRange {
+                slot,
+                n_sub: self.n_sub(),
+            });
         }
-        self.programs = 0;
+        if self.is_exhausted() {
+            return Err(NandError::ProgramLimitExceeded);
+        }
+        Ok(())
+    }
+
+    /// The SBPI side effect of a program pulse on `slot`: every other slot
+    /// that holds data (or padding) is destroyed. Returns how many were.
+    fn disturb_siblings(&mut self, slot: u8) -> u32 {
+        let mut destroyed = 0;
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            if i != usize::from(slot) && cell.is_written() {
+                *cell = Cell::DESTROYED;
+                destroyed += 1;
+            }
+        }
+        destroyed
     }
 }
 
@@ -344,12 +369,38 @@ mod tests {
         Oob { lsn, seq: lsn }
     }
 
+    /// A page's cells and program counter, owned for the test.
+    struct Page {
+        cells: Vec<Cell>,
+        programs: u8,
+    }
+
+    impl Page {
+        fn new(n_sub: usize) -> Self {
+            Page {
+                cells: vec![Cell::ERASED; n_sub],
+                programs: 0,
+            }
+        }
+
+        fn view(&mut self) -> PageMut<'_> {
+            PageMut {
+                cells: &mut self.cells,
+                programs: &mut self.programs,
+            }
+        }
+
+        fn read_subpage(&self, slot: u8) -> Result<WrittenSubpage, ReadFault> {
+            self.cells[usize::from(slot)].read()
+        }
+    }
+
     #[test]
     fn full_program_fills_all_subpages_at_npp0() {
         let mut p = Page::new(4);
         let oobs: Vec<_> = (0..4).map(|i| Some(oob(i))).collect();
-        p.program_full(&oobs, SimTime::ZERO, 5).unwrap();
-        assert_eq!(p.program_count(), 1);
+        p.view().program_full(&oobs, SimTime::ZERO, 5).unwrap();
+        assert_eq!(p.programs, 1);
         for slot in 0..4 {
             let w = p.read_subpage(slot).unwrap();
             assert_eq!(w.npp, 0);
@@ -361,10 +412,12 @@ mod tests {
     #[test]
     fn full_program_requires_erased_page() {
         let mut p = Page::new(4);
-        p.program_subpage(0, oob(1), SimTime::ZERO, 0).unwrap();
+        p.view()
+            .program_subpage(0, oob(1), SimTime::ZERO, 0)
+            .unwrap();
         let oobs = vec![None; 4];
         assert_eq!(
-            p.program_full(&oobs, SimTime::ZERO, 0),
+            p.view().program_full(&oobs, SimTime::ZERO, 0),
             Err(NandError::ProgramOnDirtyPage)
         );
     }
@@ -372,7 +425,10 @@ mod tests {
     #[test]
     fn full_program_checks_slot_count() {
         let mut p = Page::new(4);
-        let err = p.program_full(&[None, None], SimTime::ZERO, 0).unwrap_err();
+        let err = p
+            .view()
+            .program_full(&[None, None], SimTime::ZERO, 0)
+            .unwrap_err();
         assert_eq!(
             err,
             NandError::SlotCountMismatch {
@@ -386,16 +442,27 @@ mod tests {
     fn esp_sequence_assigns_increasing_npp() {
         // Fig 4: sp1 programmed (Npp^0), then sp2 programmed (Npp^1).
         let mut p = Page::new(4);
-        p.program_subpage(0, oob(10), SimTime::ZERO, 0).unwrap();
+        p.view()
+            .program_subpage(0, oob(10), SimTime::ZERO, 0)
+            .unwrap();
         assert_eq!(p.read_subpage(0).unwrap().npp, 0);
-        let destroyed = p.program_subpage(1, oob(11), SimTime::ZERO, 0).unwrap();
-        assert_eq!(destroyed, vec![0]);
+        let destroyed = p
+            .view()
+            .program_subpage(1, oob(11), SimTime::ZERO, 0)
+            .unwrap();
+        assert_eq!(destroyed, 1);
         assert_eq!(p.read_subpage(1).unwrap().npp, 1);
-        let d = p.program_subpage(2, oob(12), SimTime::ZERO, 0).unwrap();
-        assert_eq!(d, vec![1]);
+        let d = p
+            .view()
+            .program_subpage(2, oob(12), SimTime::ZERO, 0)
+            .unwrap();
+        assert_eq!(d, 1);
         assert_eq!(p.read_subpage(2).unwrap().npp, 2);
-        let d = p.program_subpage(3, oob(13), SimTime::ZERO, 0).unwrap();
-        assert_eq!(d, vec![2]);
+        let d = p
+            .view()
+            .program_subpage(3, oob(13), SimTime::ZERO, 0)
+            .unwrap();
+        assert_eq!(d, 1);
         assert_eq!(p.read_subpage(3).unwrap().npp, 3);
     }
 
@@ -403,8 +470,12 @@ mod tests {
     fn program_destroys_previously_programmed_subpage() {
         // Fig 4(b): after sp2's program, sp1 is uncorrectable.
         let mut p = Page::new(2);
-        p.program_subpage(0, oob(1), SimTime::ZERO, 0).unwrap();
-        p.program_subpage(1, oob(2), SimTime::ZERO, 0).unwrap();
+        p.view()
+            .program_subpage(0, oob(1), SimTime::ZERO, 0)
+            .unwrap();
+        p.view()
+            .program_subpage(1, oob(2), SimTime::ZERO, 0)
+            .unwrap();
         assert_eq!(p.read_subpage(0), Err(ReadFault::DestroyedByProgram));
         assert!(p.read_subpage(1).is_ok());
     }
@@ -412,20 +483,29 @@ mod tests {
     #[test]
     fn reprogramming_same_slot_destroys_it() {
         let mut p = Page::new(4);
-        p.program_subpage(0, oob(1), SimTime::ZERO, 0).unwrap();
-        let destroyed = p.program_subpage(0, oob(2), SimTime::ZERO, 0).unwrap();
-        assert_eq!(destroyed, vec![0]);
+        p.view()
+            .program_subpage(0, oob(1), SimTime::ZERO, 0)
+            .unwrap();
+        let destroyed = p
+            .view()
+            .program_subpage(0, oob(2), SimTime::ZERO, 0)
+            .unwrap();
+        assert_eq!(destroyed, 1);
         assert_eq!(p.read_subpage(0), Err(ReadFault::DestroyedByProgram));
     }
 
     #[test]
     fn page_accepts_at_most_nsub_programs() {
         let mut p = Page::new(2);
-        p.program_subpage(0, oob(1), SimTime::ZERO, 0).unwrap();
-        p.program_subpage(1, oob(2), SimTime::ZERO, 0).unwrap();
-        assert!(p.is_exhausted());
+        p.view()
+            .program_subpage(0, oob(1), SimTime::ZERO, 0)
+            .unwrap();
+        p.view()
+            .program_subpage(1, oob(2), SimTime::ZERO, 0)
+            .unwrap();
+        assert!(p.view().is_exhausted());
         assert_eq!(
-            p.program_subpage(0, oob(3), SimTime::ZERO, 0),
+            p.view().program_subpage(0, oob(3), SimTime::ZERO, 0),
             Err(NandError::ProgramLimitExceeded)
         );
     }
@@ -434,7 +514,7 @@ mod tests {
     fn slot_out_of_range_is_rejected() {
         let mut p = Page::new(2);
         assert_eq!(
-            p.program_subpage(2, oob(1), SimTime::ZERO, 0),
+            p.view().program_subpage(2, oob(1), SimTime::ZERO, 0),
             Err(NandError::SlotOutOfRange { slot: 2, n_sub: 2 })
         );
     }
@@ -443,7 +523,7 @@ mod tests {
     fn padding_slots_report_padding_on_read() {
         let mut p = Page::new(4);
         let oobs = vec![Some(oob(1)), None, None, None];
-        p.program_full(&oobs, SimTime::ZERO, 0).unwrap();
+        p.view().program_full(&oobs, SimTime::ZERO, 0).unwrap();
         assert!(p.read_subpage(0).is_ok());
         assert_eq!(p.read_subpage(1), Err(ReadFault::Padding));
     }
@@ -451,13 +531,19 @@ mod tests {
     #[test]
     fn erase_resets_everything() {
         let mut p = Page::new(4);
-        p.program_subpage(0, oob(1), SimTime::ZERO, 0).unwrap();
-        p.program_subpage(1, oob(2), SimTime::ZERO, 0).unwrap();
-        p.erase();
-        assert!(p.is_erased());
+        p.view()
+            .program_subpage(0, oob(1), SimTime::ZERO, 0)
+            .unwrap();
+        p.view()
+            .program_subpage(1, oob(2), SimTime::ZERO, 0)
+            .unwrap();
+        p.view().erase();
+        assert_eq!(p.programs, 0);
         assert_eq!(p.read_subpage(0), Err(ReadFault::NotWritten));
         // A fresh subpage program is possible again, at Npp^0.
-        p.program_subpage(2, oob(3), SimTime::ZERO, 0).unwrap();
+        p.view()
+            .program_subpage(2, oob(3), SimTime::ZERO, 0)
+            .unwrap();
         assert_eq!(p.read_subpage(2).unwrap().npp, 0);
     }
 
@@ -467,25 +553,31 @@ mod tests {
         // slot is unreadable AND the previously-programmed sibling is
         // destroyed — the data exists nowhere on the page afterwards.
         let mut p = Page::new(4);
-        p.program_subpage(0, oob(7), SimTime::ZERO, 0).unwrap();
-        let destroyed = p.tear_program_subpage(1).unwrap();
-        assert_eq!(destroyed, vec![0]);
+        p.view()
+            .program_subpage(0, oob(7), SimTime::ZERO, 0)
+            .unwrap();
+        let destroyed = p.view().tear_program_subpage(1).unwrap();
+        assert_eq!(destroyed, 1);
         assert_eq!(p.read_subpage(0), Err(ReadFault::DestroyedByProgram));
         assert_eq!(p.read_subpage(1), Err(ReadFault::Torn));
-        assert_eq!(p.program_count(), 2);
+        assert_eq!(p.programs, 2);
     }
 
     #[test]
     fn torn_subpage_program_respects_legality() {
         let mut p = Page::new(2);
         assert_eq!(
-            p.tear_program_subpage(2),
+            p.view().tear_program_subpage(2),
             Err(NandError::SlotOutOfRange { slot: 2, n_sub: 2 })
         );
-        p.program_subpage(0, oob(1), SimTime::ZERO, 0).unwrap();
-        p.program_subpage(1, oob(2), SimTime::ZERO, 0).unwrap();
+        p.view()
+            .program_subpage(0, oob(1), SimTime::ZERO, 0)
+            .unwrap();
+        p.view()
+            .program_subpage(1, oob(2), SimTime::ZERO, 0)
+            .unwrap();
         assert_eq!(
-            p.tear_program_subpage(0),
+            p.view().tear_program_subpage(0),
             Err(NandError::ProgramLimitExceeded)
         );
     }
@@ -493,22 +585,29 @@ mod tests {
     #[test]
     fn torn_full_program_tears_every_slot() {
         let mut p = Page::new(4);
-        p.tear_program_full().unwrap();
+        p.view().tear_program_full().unwrap();
         for slot in 0..4 {
             assert_eq!(p.read_subpage(slot), Err(ReadFault::Torn));
         }
-        assert_eq!(p.program_count(), 1);
-        assert_eq!(p.tear_program_full(), Err(NandError::ProgramOnDirtyPage));
+        assert_eq!(p.programs, 1);
+        assert_eq!(
+            p.view().tear_program_full(),
+            Err(NandError::ProgramOnDirtyPage)
+        );
     }
 
     #[test]
     fn erase_recovers_a_torn_page() {
         let mut p = Page::new(4);
-        p.program_subpage(0, oob(1), SimTime::ZERO, 0).unwrap();
-        p.tear_program_subpage(1).unwrap();
-        p.erase();
-        assert!(p.is_erased());
-        p.program_subpage(0, oob(2), SimTime::ZERO, 0).unwrap();
+        p.view()
+            .program_subpage(0, oob(1), SimTime::ZERO, 0)
+            .unwrap();
+        p.view().tear_program_subpage(1).unwrap();
+        p.view().erase();
+        assert_eq!(p.programs, 0);
+        p.view()
+            .program_subpage(0, oob(2), SimTime::ZERO, 0)
+            .unwrap();
         assert_eq!(p.read_subpage(0).unwrap().oob.unwrap().lsn, 2);
     }
 
@@ -518,9 +617,12 @@ mod tests {
         // ESP-discipline violation: three slots destroyed, target slot too.
         let mut p = Page::new(4);
         let oobs: Vec<_> = (0..4).map(|i| Some(oob(i))).collect();
-        p.program_full(&oobs, SimTime::ZERO, 0).unwrap();
-        let destroyed = p.program_subpage(1, oob(9), SimTime::ZERO, 0).unwrap();
-        assert_eq!(destroyed.len(), 4);
+        p.view().program_full(&oobs, SimTime::ZERO, 0).unwrap();
+        let destroyed = p
+            .view()
+            .program_subpage(1, oob(9), SimTime::ZERO, 0)
+            .unwrap();
+        assert_eq!(destroyed, 4);
         for slot in 0..4 {
             assert_eq!(p.read_subpage(slot), Err(ReadFault::DestroyedByProgram));
         }
